@@ -1,16 +1,15 @@
-"""Fast-engine speed trajectory: skipping must pay for itself.
+"""Array-engine speed trajectory: the production engine must pay off.
 
-The event-horizon engine exists to make idle-heavy simulations cheap
-without perturbing results.  These benchmarks time the fast engine
-against the reference on the two ends of the load spectrum and fail
-when the trajectory regresses:
+The struct-of-arrays engine exists to make simulations cheap without
+perturbing results.  These benchmarks time it against the reference
+engine on the two ends of the load spectrum and fail when the
+trajectory regresses:
 
-* idle-heavy — the fast engine must be at least ``IDLE_SPEEDUP_FLOOR``
+* idle-heavy — the array engine must be at least ``IDLE_SPEEDUP_FLOOR``
   times faster (spans of thousands of quiescent cycles collapse into
-  closed-form advances);
-* saturated — the skip machinery must cost at most
-  ``SATURATED_OVERHEAD_BUDGET`` (quiescence probes back off
-  exponentially under sustained load).
+  one event-horizon jump);
+* saturated — it must stay at least ``SATURATED_SPEEDUP_FLOOR`` times
+  faster (quiescence never holds; only the vector step pays off).
 
 ``scripts/bench.py`` produces the same comparison as a JSON artifact
 for CI trending; this module is the local regression canary.
@@ -26,19 +25,19 @@ from repro.noc.packet import CoreType
 from repro.noc.router import PowerPolicyKind
 from repro.traffic.synthetic import uniform_random_trace
 
-#: Minimum idle-heavy reference/fast wall-time ratio (measured ~6-10x;
+#: Minimum idle-heavy reference/array wall-time ratio (measured ~20-70x;
 #: the floor leaves headroom for loaded CI machines).
 IDLE_SPEEDUP_FLOOR = 2.0
 
-#: Maximum saturated fast/reference wall-time ratio.
-SATURATED_OVERHEAD_BUDGET = 1.15
+#: Minimum saturated reference/array wall-time ratio (measured ~2.2-2.7x).
+SATURATED_SPEEDUP_FLOOR = 1.3
 
 #: Timing repetitions; interleaved best-of-N cancels machine drift.
 REPEATS = 3
 
 
 def _time_engines(config, trace, policy=PowerPolicyKind.REACTIVE, seed=3):
-    best = {"reference": float("inf"), "fast": float("inf")}
+    best = {"reference": float("inf"), "array": float("inf")}
     results = {}
     for _ in range(REPEATS):
         for engine in best:
@@ -47,9 +46,20 @@ def _time_engines(config, trace, policy=PowerPolicyKind.REACTIVE, seed=3):
             results[engine] = network.run(trace, engine=engine)
             best[engine] = min(best[engine], time.perf_counter() - start)
     assert (
-        results["reference"].stats.to_dict() == results["fast"].stats.to_dict()
+        results["reference"].stats.to_dict() == results["array"].stats.to_dict()
     ), "engines diverged — speed is meaningless if results differ"
     return best
+
+
+def _assert_speedup(label, best, floor):
+    speedup = best["reference"] / best["array"]
+    print(
+        f"{label} ref={best['reference']:.3f}s array={best['array']:.3f}s "
+        f"speedup={speedup:.2f}x"
+    )
+    assert speedup >= floor, (
+        f"{label} speedup {speedup:.2f}x below the {floor:.1f}x floor"
+    )
 
 
 def test_idle_heavy_speedup():
@@ -63,19 +73,12 @@ def test_idle_heavy_speedup():
         duration=2_000,
         seed=5,
     )
-    best = _time_engines(config, trace)
-    speedup = best["reference"] / best["fast"]
-    print(
-        f"idle-heavy ref={best['reference']:.3f}s fast={best['fast']:.3f}s "
-        f"speedup={speedup:.2f}x"
-    )
-    assert speedup >= IDLE_SPEEDUP_FLOOR, (
-        f"idle-heavy speedup {speedup:.2f}x below the "
-        f"{IDLE_SPEEDUP_FLOOR:.1f}x floor"
+    _assert_speedup(
+        "idle-heavy", _time_engines(config, trace), IDLE_SPEEDUP_FLOOR
     )
 
 
-def test_saturated_overhead_within_budget():
+def test_saturated_speedup():
     config = PearlConfig().replace(
         simulation=SimulationConfig(warmup_cycles=1_000, measure_cycles=8_000)
     )
@@ -86,13 +89,6 @@ def test_saturated_overhead_within_budget():
         duration=config.simulation.total_cycles,
         seed=5,
     )
-    best = _time_engines(config, trace)
-    ratio = best["fast"] / best["reference"]
-    print(
-        f"saturated ref={best['reference']:.3f}s fast={best['fast']:.3f}s "
-        f"ratio={ratio:.3f}"
-    )
-    assert ratio <= SATURATED_OVERHEAD_BUDGET, (
-        f"saturated fast/reference ratio {ratio:.3f} exceeds the "
-        f"{SATURATED_OVERHEAD_BUDGET:.2f} budget"
+    _assert_speedup(
+        "saturated", _time_engines(config, trace), SATURATED_SPEEDUP_FLOOR
     )

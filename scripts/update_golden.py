@@ -3,7 +3,7 @@
 
 Run after an *intentional* simulator behaviour change and commit the
 resulting diff together with the code change.  Each case is simulated
-on every cycle engine (reference, fast, array) and the script refuses
+on both cycle engines (reference, array) and the script refuses
 to write a snapshot the engines disagree on — a divergence means a
 bug, not a new golden.
 

@@ -160,11 +160,10 @@ def _build_parser() -> argparse.ArgumentParser:
     simp.add_argument("--seed", type=int, default=1)
     simp.add_argument(
         "--sim-engine",
-        default="fast",
-        choices=["fast", "reference", "array"],
-        help="cycle engine: event-horizon fast-forwarding (default), "
-        "plain cycle-by-cycle stepping, or the struct-of-arrays batch "
-        "core (all bit-identical results)",
+        default="array",
+        choices=["array", "reference"],
+        help="cycle engine: the struct-of-arrays core (default) or "
+        "plain cycle-by-cycle stepping (bit-identical results)",
     )
     simp.add_argument(
         "--faults",

@@ -25,9 +25,8 @@ class LaserBank:
     for ``turn_on_cycles`` while the newly lit lasers stabilise, after
     which the new state becomes active.  Power is integrated as integer
     cycle counts per powered state (``energy_j`` is derived lazily), so
-    advancing N quiescent cycles in one :meth:`advance` call produces
-    bit-identical statistics to N :meth:`tick` calls — the invariant
-    the fast-forwarding cycle engine is built on.
+    the array core can settle a span of N cycles into the same ledgers
+    in closed form, bit-identical to N :meth:`tick` calls.
     """
 
     def __init__(
@@ -51,7 +50,7 @@ class LaserBank:
         # Cycles spent drawing each state's power (the powered state is
         # the *pending* one while stabilizing).  Kept as integers so the
         # energy integral is order-independent and exactly reproducible
-        # whether the run stepped every cycle or fast-forwarded spans.
+        # whether the run stepped every cycle or settled whole spans.
         self._cycles_at_power: Dict[int, int] = {}
         self._power_w: Dict[int, float] = {
             s: self.ladder.power_w(s) for s in self.ladder.states
@@ -66,11 +65,6 @@ class LaserBank:
     def is_stabilizing(self) -> bool:
         """True while newly lit lasers are warming up (link is dark)."""
         return self._stabilize_remaining > 0
-
-    @property
-    def stabilize_remaining(self) -> int:
-        """Dark cycles left before a pending upward transition lands."""
-        return self._stabilize_remaining
 
     @property
     def energy_j(self) -> float:
@@ -127,34 +121,6 @@ class LaserBank:
         if self._stabilize_remaining > 0:
             self.stall_cycles += 1
             self._stabilize_remaining -= 1
-            if self._stabilize_remaining == 0 and self._pending_state is not None:
-                self._state = self._pending_state
-                self._pending_state = None
-
-    def advance(self, cycles: int) -> None:
-        """Integrate ``cycles`` network cycles in closed form.
-
-        Exactly equivalent to calling :meth:`tick` ``cycles`` times
-        because every accumulator is an integer count.  The caller must
-        not advance past a stabilization completion in one call
-        (``cycles <= stabilize_remaining`` while stabilizing), since the
-        powered/active states would change mid-span.
-        """
-        if cycles <= 0:
-            return
-        powered_state = (
-            self._pending_state if self._pending_state is not None else self._state
-        )
-        counts = self._cycles_at_power
-        counts[powered_state] = counts.get(powered_state, 0) + cycles
-        self.cycles_in_state[self._state] += cycles
-        if self._stabilize_remaining > 0:
-            if cycles > self._stabilize_remaining:
-                raise ValueError(
-                    "cannot advance past a laser stabilization completion"
-                )
-            self.stall_cycles += cycles
-            self._stabilize_remaining -= cycles
             if self._stabilize_remaining == 0 and self._pending_state is not None:
                 self._state = self._pending_state
                 self._pending_state = None
@@ -243,15 +209,6 @@ class ReactivePowerScaler:
             raise ValueError("occupancy must be a fraction in [0, 1]")
         self._occupancy_sum += combined_occupancy
         self._samples += 1
-
-    def observe_idle(self, cycles: int) -> None:
-        """Closed-form equivalent of ``cycles`` calls to ``observe(0.0)``.
-
-        Adding +0.0 to a non-negative float sum is exact in IEEE-754, so
-        an idle span only advances the integer sample counter — the
-        window mean comes out bit-identical to per-cycle stepping.
-        """
-        self._samples += cycles
 
     def window_boundary(self, cycle: int) -> bool:
         """Step 6: does this cycle close the router's staggered window?"""

@@ -21,8 +21,8 @@ This module implements that co-management on top of the PEARL ladder:
   and cap.
 
 Drop-in replacement for :class:`ReactivePowerScaler` in the router's
-``reactive`` slot, so the fast engine's ``observe_idle`` fast-forward
-and the array engine's occupancy accumulators work unchanged.
+``reactive`` slot, so the array engine's occupancy accumulators work
+unchanged.
 """
 
 from __future__ import annotations

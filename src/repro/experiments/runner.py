@@ -10,14 +10,9 @@ sharing the same underlying sweep (e.g. Figs. 6, 7 and 8) simulate once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..config import PearlConfig, SimulationConfig
-from ..ml.ridge import RidgeRegression
-from ..noc.cmesh import CMeshNetwork
-from ..noc.network import PearlNetwork, PearlRunResult
-from ..noc.router import PowerPolicyKind
-from ..noc.stats import NetworkStats
 from ..traffic.benchmarks import BenchmarkProfile, pair_name, test_pairs
 from ..traffic.synthetic import generate_pair_trace
 from ..traffic.trace import Trace
@@ -136,44 +131,6 @@ def pair_trace(
     return generate_pair_trace(
         cpu, gpu, config.architecture, config.simulation.total_cycles, seed
     )
-
-
-def run_pearl(
-    config: PearlConfig,
-    trace: Trace,
-    power_policy: PowerPolicyKind = PowerPolicyKind.STATIC,
-    use_dynamic_bandwidth: bool = True,
-    static_state: Optional[int] = None,
-    ml_model: Optional[RidgeRegression] = None,
-    allow_8wl: Optional[bool] = None,
-    seed: int = 1,
-) -> PearlRunResult:
-    """Build and run one PEARL variant on a trace."""
-    network = PearlNetwork(
-        config,
-        power_policy=power_policy,
-        use_dynamic_bandwidth=use_dynamic_bandwidth,
-        static_state=static_state,
-        ml_model=ml_model,
-        allow_8wl=allow_8wl,
-        seed=seed,
-    )
-    return network.run(trace)
-
-
-def run_cmesh(
-    config: PearlConfig,
-    trace: Trace,
-    bandwidth_divisor: int = 2,
-    seed: int = 1,
-) -> NetworkStats:
-    """Build and run the CMESH baseline on a trace."""
-    network = CMeshNetwork(
-        simulation=config.simulation,
-        bandwidth_divisor=bandwidth_divisor,
-        seed=seed,
-    )
-    return network.run(trace)
 
 
 _RESULT_CACHE: Dict[object, object] = {}

@@ -7,8 +7,8 @@ into the per-cycle state the simulator consumes:
   ring set and the droop cap as piecewise-constant functions of the
   cycle, exposes the largest sustainable wavelength state
   (``max_usable_state``), and clamps policy requests to it.  Fault
-  start/end cycles are *events*: the router's ``skip_bound`` must stop
-  a fast-forwarded span at the next one, so both cycle engines apply
+  start/end cycles are *events*: the array core's event horizon stops
+  a skipped idle span at the next one, so both cycle engines apply
   every fault transition on exactly the same cycle.
 
 * :class:`NetworkFaultContext` — network-wide.  Owns the dedicated
@@ -90,7 +90,7 @@ class RouterFaultInjector:
         """Consume fault events up to ``cycle``; True when state changed.
 
         Called once per executed cycle from the router's control tick.
-        The fast engine never skips across an unconsumed event (see
+        The array engine never skips across an unconsumed event (see
         :meth:`next_event`), so the recompute lands on the same cycle
         under both engines.
         """

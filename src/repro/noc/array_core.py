@@ -1,14 +1,16 @@
-"""Struct-of-arrays cycle engine (``engine="array"``).
+"""Struct-of-arrays cycle engine (``engine="array"``, the default).
 
-The scalar engines walk 17 :class:`~repro.noc.router.PearlRouter`
-objects every cycle; this engine keeps the per-router *cycle-path*
-state in flat arrays indexed by router id and replaces the per-router
-Python calls with a handful of vectorized operations plus tightly
-masked scalar loops over only the routers that can actually do work
-this cycle.  Everything it computes is **bit-identical** to the
-reference engine — the differential harness in
-``tests/noc/test_array_engine.py`` enforces array == fast == reference
-across every policy, allocator, fault schedule and quantization format.
+This is the production engine behind every experiment, sweep, serve
+job and ML dataset collection.  The reference engine walks 17
+:class:`~repro.noc.router.PearlRouter` objects every cycle; this
+engine keeps the per-router *cycle-path* state in flat arrays indexed
+by router id and replaces the per-router Python calls with a handful
+of vectorized operations plus tightly masked scalar loops over only
+the routers that can actually do work this cycle.  Everything it
+computes is **bit-identical** to the reference engine — the
+differential harness in ``tests/noc/test_array_engine.py`` enforces
+array == reference across every policy, allocator, fault schedule and
+quantization format.
 
 State layout (indexed by router id, ``n = num_routers``; numpy arrays
 carry the vectorized integrals, plain Python lists carry the scalars
@@ -38,9 +40,8 @@ Three ideas make the vector step cheap *and* exact:
   form only when something changes (a state flip, a dispatch, a window
   close) — per-cycle cost is a couple of integer compares.  Every
   closed form is integer arithmetic or an IEEE-exact ``+0.0`` no-op,
-  which is exactly the invariant the fast engine's
-  :meth:`~repro.core.power_scaling.LaserBank.advance` already relies
-  on.
+  so a settled span equals the reference engine's per-cycle
+  :meth:`~repro.core.power_scaling.LaserBank.tick` calls exactly.
 * **Candidate masking.**  A router is a transmit candidate only when a
   pool head can actually move: a photonic engine is free, or the head
   packet is local and the crossbar is free.  Head-locality flags are
@@ -51,7 +52,7 @@ Three ideas make the vector step cheap *and* exact:
   window) and full of policy/RNG/feature logic, so the engine settles
   the closing rows back into their router objects and reuses the
   *same* :meth:`~repro.noc.network.PearlNetwork._close_windows`
-  grouped path as the scalar engines — including the batched
+  grouped path as the reference engine — including the batched
   ``(k, n_features)`` ML matmul, which is the defining inference
   semantics shared by every engine.
 
@@ -360,7 +361,7 @@ class ArrayCore:
         ]
 
         # -- DBA split tallies (lazy, telemetry only) -----------------------
-        # The scalar engines tally one split label per router per cycle.
+        # The reference engine tallies one split label per router per cycle.
         # The DBA decision is a pure function of the input-pool slot
         # counts, which are piecewise constant between pool mutations —
         # so under instrumentation the tally is settled in closed form
@@ -515,6 +516,10 @@ class ArrayCore:
         self.seg_start[r] = to
 
     def _settle_lasers_all(self, to: int) -> None:
+        # An idle skip may have jumped past a pending flip; land it
+        # first so its row's segment splits at the flip cycle.
+        if self._next_flip <= to:
+            self._apply_flips(to)
         d = to - self.seg_start
         rows = np.arange(self.n)
         self.in_state[rows, self.state_idx] += d
@@ -649,7 +654,7 @@ class ArrayCore:
         """Settle closing rows into their routers and run the shared close.
 
         The grouped :meth:`PearlNetwork._close_windows` is the same
-        code the scalar engines run, so policy/RNG/ML behaviour
+        code the reference engine runs, so policy/RNG/ML behaviour
         (including the batched same-cycle inference) is identical by
         construction rather than by reimplementation.
         """
@@ -1319,17 +1324,16 @@ class ArrayCore:
 
     # -- event-horizon skipping --------------------------------------------------
 
-    def _skip_horizon(
+    def _event_horizon(
         self, cycle: int, end: int, cursor: Optional[TraceCursor]
     ) -> int:
         """First cycle in [cycle, end] that must execute in full.
 
         Only *externally scheduled* events bound the horizon: heap
         arrivals, trace events, window boundaries and fault
-        transitions.  Laser flips and engine drains — which bound the
-        scalar fast engine — are integrated lazily here (segment
-        ledgers, link-busy spans), so a quiescent span may skip
-        straight over them.
+        transitions.  Laser flips and engine drains are integrated
+        lazily (segment ledgers, link-busy spans), so a quiescent span
+        may skip straight over them.
         """
         net = self.net
         horizon = end
@@ -1354,11 +1358,10 @@ class ArrayCore:
     ) -> None:
         """Advance cycles [start, end) with event-horizon skipping.
 
-        Because every per-cycle integral is lazy, fast-forwarding a
-        quiescent span costs *nothing* — the cycle counter jumps and
-        the next settlement's closed form covers the gap exactly, so
-        the quiescence probe (``work == 0``) runs every cycle without
-        the scalar engine's backoff machinery.
+        Because every per-cycle integral is lazy, skipping a quiescent
+        span costs *nothing* — the cycle counter jumps and the next
+        settlement's closed form covers the gap exactly, so the
+        quiescence probe (``work == 0``) is one compare per cycle.
         """
         step = self.step
         cycle = start
@@ -1366,7 +1369,7 @@ class ArrayCore:
             step(cycle, cursor)
             cycle += 1
             if self._work == 0 and cycle < end:
-                horizon = self._skip_horizon(cycle, end, cursor)
+                horizon = self._event_horizon(cycle, end, cursor)
                 if horizon > cycle:
                     cycle = horizon
         self._cycle = end

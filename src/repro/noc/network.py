@@ -32,6 +32,7 @@ from ..obs import OBS
 from ..ml.lifecycle.drift import DriftConfig, DriftMonitor
 from ..ml.lifecycle.quantized import QuantizedRidge
 from ..ml.ridge import RidgeRegression
+from .array_core import ArrayCore
 from .packet import CacheLevel, CoreType, Packet, PacketClass
 from .photonic import PhotonicLinkModel
 from .router import PearlRouter, PowerPolicyKind, Transmission
@@ -506,8 +507,8 @@ class PearlNetwork:
         coordinator refits a ridge model on the deployment-time buffer,
         registers + promotes it, and hot-swaps every router's scaler.
         The whole sequence is deterministic (closed-form ridge fit over
-        rows pooled in router order at a fixed cycle), so all three
-        engines retrain identically.
+        rows pooled in router order at a fixed cycle), so both engines
+        retrain identically.
         """
         if not self._retrain_latched:
             for router in self.routers:
@@ -637,126 +638,24 @@ class PearlNetwork:
             self._retransmits, (ready, self._sequence, packet)
         )
 
-    # -- fast-forwarding (event-horizon) engine -------------------------------
-
-    def _quiescent(self) -> bool:
-        """True when no packet anywhere could move this cycle.
-
-        Retransmissions still waiting out their backoff live in the
-        heap and bound the horizon instead; ones stalled on a full pool
-        are retried every cycle, so they block quiescence outright.
-        """
-        for backlog in self._injection_backlog:
-            if backlog:
-                return False
-        if self._fault_context is not None and any(
-            self._retransmit_backlog
-        ):
-            return False
-        for router in self.routers:
-            if not router.is_quiescent():
-                return False
-        return True
-
-    def _skip_horizon(
-        self, cycle: int, end: int, cursor: Optional[TraceCursor]
-    ) -> int:
-        """First cycle in [cycle, end] that must be executed in full.
-
-        The horizon is the earliest of: the segment end, the next trace
-        event, the next ready response, the next in-flight arrival, and
-        each router's :meth:`~PearlRouter.skip_bound` (window boundary,
-        laser stabilization completion, transmit-engine drain).  A
-        return value of ``cycle`` means nothing can be skipped.
-        """
-        horizon = end
-        if cursor is not None:
-            next_event = cursor.next_cycle()
-            if next_event is not None and next_event < horizon:
-                horizon = next_event
-        if self._responses and self._responses[0][0] < horizon:
-            horizon = self._responses[0][0]
-        if self._in_flight and self._in_flight[0][0] < horizon:
-            horizon = self._in_flight[0][0]
-        if self._retransmits and self._retransmits[0][0] < horizon:
-            horizon = self._retransmits[0][0]
-        if horizon <= cycle:
-            return cycle
-        for router in self.routers:
-            bound = router.skip_bound(cycle)
-            if bound < horizon:
-                if bound <= cycle:
-                    return cycle
-                horizon = bound
-        return horizon
-
-    def _fast_forward(self, cycle: int, cycles: int) -> None:
-        """Advance a quiescent span of ``cycles`` cycles in closed form."""
-        on_link_samples = self.stats.on_link_samples
-        for router in self.routers:
-            busy = router.fast_forward(cycle, cycles)
-            on_link_samples(busy, cycles)
-
-    def _advance_fast(
+    def _advance_cycles(
         self, start: int, end: int, cursor: Optional[TraceCursor]
     ) -> None:
-        """Advance cycles [start, end) with event-horizon skipping.
-
-        Every cycle with any packet motion, window boundary, laser flip
-        or engine drain runs through the reference :meth:`step`; spans
-        where the whole network is provably idle are advanced in closed
-        form, producing bit-identical statistics.
-
-        Consecutive failed quiescence probes back off exponentially (up
-        to 32 cycles) so a saturated run pays almost nothing for the
-        skip machinery; skipping is optional, so deferring a probe
-        never changes the simulated result.
-        """
+        """Step every cycle in [start, end) (the reference engine)."""
         step = self.step
-        quiescent = self._quiescent
-        cycle = start
-        backoff = 1
-        cooldown = 0
-        while cycle < end:
+        for cycle in range(start, end):
             step(cycle, cursor)
-            cycle += 1
-            if cycle >= end:
-                break
-            if cooldown:
-                cooldown -= 1
-                continue
-            if not quiescent():
-                cooldown = backoff
-                if backoff < 32:
-                    backoff <<= 1
-                continue
-            backoff = 1
-            horizon = self._skip_horizon(cycle, end, cursor)
-            if horizon > cycle:
-                self._fast_forward(cycle, horizon - cycle)
-                cycle = horizon
 
-    def _advance_cycles(
-        self, start: int, end: int, cursor: Optional[TraceCursor], fast: bool
-    ) -> None:
-        if fast:
-            self._advance_fast(start, end, cursor)
-        else:
-            step = self.step
-            for cycle in range(start, end):
-                step(cycle, cursor)
+    #: Engines accepted by :meth:`run`; both are bit-identical.
+    ENGINES = ("reference", "array")
 
-    #: Engines accepted by :meth:`run`; all three are bit-identical.
-    ENGINES = ("fast", "reference", "array")
-
-    def run(self, trace: Trace, engine: str = "fast") -> PearlRunResult:
+    def run(self, trace: Trace, engine: str = "array") -> PearlRunResult:
         """Simulate warm-up plus measurement over a trace.
 
-        ``engine`` selects ``"fast"`` (event-horizon skipping, the
-        default), ``"reference"`` (plain cycle-by-cycle stepping) or
-        ``"array"`` (the struct-of-arrays core in
-        :mod:`repro.noc.array_core`); all three produce bit-identical
-        results.
+        ``engine`` selects ``"array"`` (the struct-of-arrays core in
+        :mod:`repro.noc.array_core`, the default) or ``"reference"``
+        (plain cycle-by-cycle :meth:`step`, the executable spec); both
+        produce bit-identical results.
         """
         if engine not in self.ENGINES:
             raise ValueError(f"unknown engine {engine!r}")
@@ -765,52 +664,45 @@ class PearlNetwork:
         if OBS.enabled:
             OBS.note_engine(engine)
         if engine == "array":
-            from .array_core import ArrayCore
-
             core = ArrayCore(self)
             if OBS.enabled:
                 return self._run_instrumented_array(core, trace)
             return core.run(trace)
-        fast = engine == "fast"
         if OBS.enabled:
-            return self._run_instrumented(trace, fast)
-        return self._run_bare(trace, fast)
+            return self._run_instrumented(trace)
+        return self._run_bare(trace)
 
-    def _run_bare(self, trace: Trace, fast: bool = True) -> PearlRunResult:
+    def _run_bare(self, trace: Trace) -> PearlRunResult:
         sim = self.config.simulation
         cursor = TraceCursor(trace)
-        self._advance_cycles(0, sim.warmup_cycles, cursor, fast)
+        self._advance_cycles(0, sim.warmup_cycles, cursor)
         self.stats.begin_measurement(sim.warmup_cycles)
         for router in self.routers:
             router.reset_power_stats()
         self.memory.stats.busy_cycles = 0
-        self._advance_cycles(sim.warmup_cycles, sim.total_cycles, cursor, fast)
+        self._advance_cycles(sim.warmup_cycles, sim.total_cycles, cursor)
         self.stats.finish(sim.total_cycles)
         self._integrate_energy()
         return self._result()
 
-    def _run_instrumented(
-        self, trace: Trace, fast: bool = True
-    ) -> PearlRunResult:
+    def _run_instrumented(self, trace: Trace) -> PearlRunResult:
         """The same phases as :meth:`_run_bare` under profiling spans.
 
         Instrumentation is strictly observational (wall-clock timers
         and post-hoc metric flushes), so the simulated result is
-        bit-identical to an uninstrumented run — on either engine.
+        bit-identical to an uninstrumented run.
         """
         sim = self.config.simulation
         cursor = TraceCursor(trace)
         tracer = OBS.tracer
         with tracer.wall_span("sim/warmup", "sim", trace=trace.name):
-            self._advance_cycles(0, sim.warmup_cycles, cursor, fast)
+            self._advance_cycles(0, sim.warmup_cycles, cursor)
         self.stats.begin_measurement(sim.warmup_cycles)
         for router in self.routers:
             router.reset_power_stats()
         self.memory.stats.busy_cycles = 0
         with tracer.wall_span("sim/measure", "sim", trace=trace.name):
-            self._advance_cycles(
-                sim.warmup_cycles, sim.total_cycles, cursor, fast
-            )
+            self._advance_cycles(sim.warmup_cycles, sim.total_cycles, cursor)
         self.stats.finish(sim.total_cycles)
         with tracer.wall_span("sim/integrate_energy", "sim"):
             self._integrate_energy()

@@ -209,8 +209,8 @@ class PearlRouter:
             CoreType.GPU: [_TransmitEngine() for _ in range(parallel_links)],
         }
         self._local_engine = _TransmitEngine()
-        # Hot-path hoists: the per-cycle methods and the fast-forward
-        # horizon computation read these instead of chasing dict keys.
+        # Hot-path hoists: the per-cycle methods and the array core
+        # read these instead of chasing dict keys.
         self._ejection_cpu = self.ejection[CoreType.CPU]
         self._ejection_gpu = self.ejection[CoreType.GPU]
         self._all_engines = (
@@ -218,8 +218,8 @@ class PearlRouter:
         )
         self._link_busy_this_cycle = False
         # Every policy closes windows on a fixed periodic cadence; the
-        # (window, offset) pair is resolved once so both the per-cycle
-        # boundary check and ``skip_bound`` avoid policy dispatch.
+        # (window, offset) pair is resolved once so the per-cycle
+        # boundary check and the array core avoid policy dispatch.
         if self.ml_scaler is not None:
             self._boundary_window = self.ml_scaler._window
             self._boundary_offset = self.ml_scaler.offset
@@ -706,105 +706,6 @@ class PearlRouter:
     def link_busy(self) -> bool:
         """Whether any transmit engine was busy last cycle."""
         return self._link_busy_this_cycle
-
-    # -- fast-forward (event-horizon) support ---------------------------------
-
-    def is_quiescent(self) -> bool:
-        """True when a cycle of this router would move no packets.
-
-        Requires empty CPU/GPU input pools, empty ejection pools and no
-        ejection backlog; in-flight transmissions live in the network's
-        heaps and bound the horizon there.
-        """
-        return (
-            self.buffers.is_empty
-            and not self._ejection_backlog
-            and self._ejection_cpu.is_empty
-            and self._ejection_gpu.is_empty
-        )
-
-    def skip_bound(self, cycle: int) -> int:
-        """First cycle >= ``cycle`` this router must execute in full.
-
-        Three events end a quiescent span: the next reservation-window
-        boundary (policy decisions, RNG draws and feature snapshots
-        happen there), the completion of a laser stabilization (the
-        active state flips, splitting the residency integral), and the
-        drain of the last busy transmit engine (the link-busy sample
-        changes value).  Returning ``cycle`` itself means no skip.
-        """
-        window = self._boundary_window
-        rem = (cycle - self._boundary_offset) % window
-        bound = cycle if rem == 0 else cycle + (window - rem)
-        laser = self.laser
-        if laser.is_stabilizing:
-            flip = cycle + laser.stabilize_remaining
-            if flip < bound:
-                bound = flip
-        busy_until = 0
-        for engine in self._all_engines:
-            if engine.busy_until > busy_until:
-                busy_until = engine.busy_until
-        if cycle < busy_until < bound:
-            bound = busy_until
-        injector = self._fault_injector
-        if injector is not None:
-            # A fault start/end changes the capacity view (and possibly
-            # the laser state): that cycle must execute in full so both
-            # engines apply the transition at the same point.
-            event = injector.next_event()
-            if event is not None and event < bound:
-                bound = event if event > cycle else cycle
-        return bound
-
-    def fast_forward(self, cycle: int, cycles: int) -> bool:
-        """Advance ``cycles`` quiescent cycles in closed form.
-
-        Exactly equivalent to ``cycles`` calls of :meth:`tick_control` +
-        :meth:`transmit` starting at ``cycle`` when the router is
-        quiescent and ``cycle + cycles <= skip_bound(cycle)``: occupancy
-        observations are IEEE-exact ``+0.0`` no-ops (only the integer
-        sample counters advance), the laser integral advances as cycle
-        counts, and the link-busy flag is constant over the span.
-        Returns that flag so the caller can batch the per-cycle link
-        sample into the run statistics.
-
-        A fault transition inside the span would invalidate the closed
-        forms (the laser clamp and capacity view are piecewise-constant
-        between fault events), so — like
-        :meth:`~repro.core.power_scaling.LaserBank.advance` refusing to
-        cross a stabilization completion — the span is rejected rather
-        than silently mis-integrated.  ``skip_bound`` already stops at
-        the next fault event, so a correct caller never trips this.
-        """
-        injector = self._fault_injector
-        if injector is not None:
-            event = injector.next_event()
-            if event is not None and cycle < event < cycle + cycles:
-                raise ValueError(
-                    "cannot fast-forward across a fault transition"
-                )
-        if self.reactive is not None:
-            self.reactive.observe_idle(cycles)
-        link_busy = False
-        for engine in self._all_engines:
-            if engine.busy_until > cycle:
-                link_busy = True
-                break
-        self.features.observe_idle_cycles(cycles, link_busy)
-        self.laser.advance(cycles)
-        if OBS.enabled:
-            # transmit() tallies the DBA outcome every cycle; with both
-            # pools empty the allocator is constant over the span.
-            allocation = self.dba.allocate_from_buffers(self.buffers)
-            label = self._split_label_by_id.get(id(allocation))
-            if label is None:
-                label = self.dba.split_labels.get(allocation, "other")
-            self._dba_split_counts[label] = (
-                self._dba_split_counts.get(label, 0) + cycles
-            )
-        self._link_busy_this_cycle = link_busy
-        return link_busy
 
     def reset_power_stats(self) -> None:
         """Clear laser/ML energy integrals (warm-up boundary)."""

@@ -10,8 +10,8 @@ it, and swaps it into every scaler mid-simulation.  These tests pin:
 * the end-to-end loop on a live network — the registry gains exactly
   one promoted version, the obs stream records the swap cycle, and the
   post-swap model actually differs from the deployed one;
-* cross-engine identity: the reference, fast and array engines retrain
-  at the same cycle and promote byte-identical model ids.
+* cross-engine identity: the reference and array engines retrain at
+  the same cycle and promote byte-identical model ids.
 
 The deployed model is handcrafted with a training-distribution scaler
 centred far away from any real deployment features, so the feature
@@ -172,7 +172,7 @@ class TestRetrainLifecycle:
         config = _retrain_config()
         registry = ModelRegistry(tmp_path / "registry")
         with obs.session():
-            network, result = _run(config, registry, "fast")
+            network, result = _run(config, registry, "array")
             counter = OBS.registry.counter("ml/retrain_events").value
             swaps = [
                 event
@@ -206,7 +206,7 @@ class TestRetrainLifecycle:
     def test_cooldown_zero_allows_repeated_retrains(self, tmp_path):
         config = _retrain_config(cooldown_windows=0)
         registry = ModelRegistry(tmp_path / "registry")
-        _, result = _run(config, registry, "fast")
+        _, result = _run(config, registry, "array")
         assert result.retrain_events >= 1
         assert len(registry.list()) == result.retrain_events
         assert len(result.retrained_model_ids) == result.retrain_events
@@ -215,16 +215,16 @@ class TestRetrainLifecycle:
         config = _retrain_config()
         config = config.replace(ml=replace(config.ml, drift_action="flag"))
         registry = ModelRegistry(tmp_path / "registry")
-        _, result = _run(config, registry, "fast")
+        _, result = _run(config, registry, "array")
         assert result.retrain_events == 0
         assert registry.list() == []
 
     def test_engines_retrain_identically(self, tmp_path):
-        """All three engines drift, retrain and swap at the same close,
+        """Both engines drift, retrain and swap at the same close,
         promoting byte-identical model ids."""
         config = _retrain_config()
         out = {}
-        for engine in ("reference", "fast", "array"):
+        for engine in ("reference", "array"):
             registry = ModelRegistry(tmp_path / f"registry-{engine}")
             _, result = _run(config, registry, engine)
             out[engine] = {
@@ -236,6 +236,5 @@ class TestRetrainLifecycle:
                 "drift_events": result.drift_events,
                 "registry_ids": [r.model_id for r in registry.list()],
             }
-        assert out["fast"] == out["reference"]
         assert out["array"] == out["reference"]
         assert out["reference"]["retrain_events"] == 1

@@ -4,14 +4,15 @@ The array engine (``PearlNetwork.run(trace, engine="array")``) keeps
 router state in numpy arrays and Python-list shadows and replaces the
 per-router scalar calls with one vectorized step; ML inference becomes
 a single batched matmul per window.  None of that may change a single
-bit of the result.  These tests run the same workloads through all
-three engines across every power policy, both bandwidth allocators, a
-full fault schedule and the Qm.n quantized inference path, and require
-byte-equal statistics, residencies, ML prediction streams and backlog
-state.  Hypothesis drives the deeper properties: stepping the array
-core from an *arbitrary mid-window scalar state* matches scalar
-stepping cycle-for-cycle, and the array <-> object state round-trip is
-the identity.
+bit of the result.  These tests run the same workloads through the
+array and reference engines across every power policy, both bandwidth
+allocators, a full fault schedule and the Qm.n quantized inference
+path, and require byte-equal statistics, residencies, ML prediction
+streams and backlog state.  Hypothesis drives the deeper properties:
+random traces agree end to end, stepping the array core from an
+*arbitrary mid-window scalar state* matches scalar stepping
+cycle-for-cycle, and the array <-> object state round-trip is the
+identity.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from repro.traffic.benchmarks import CPU_BENCHMARKS, GPU_BENCHMARKS
 from repro.traffic.synthetic import generate_pair_trace, uniform_random_trace
 from repro.traffic.trace import InjectionEvent, Trace, TraceCursor
 
-ALL_ENGINES = ("reference", "fast", "array")
+ALL_ENGINES = ("reference", "array")
 
 
 def _config(measure=1_500, warmup=100, window=200, stagger=None):
@@ -112,15 +113,16 @@ def _run_engines(
     dyn=True,
     seed=3,
     faults=None,
-    engines=ALL_ENGINES,
+    links=8,
 ):
     out = {}
-    for engine in engines:
+    for engine in ALL_ENGINES:
         network = PearlNetwork(
             config=config,
             power_policy=policy,
             use_dynamic_bandwidth=dyn,
             ml_model=model if policy is PowerPolicyKind.ML else None,
+            l3_parallel_links=links,
             seed=seed,
             faults=faults,
         )
@@ -159,7 +161,7 @@ class TestArrayEngineEquivalence:
     @pytest.mark.parametrize("policy", list(PowerPolicyKind))
     @pytest.mark.parametrize("dyn", [True, False])
     def test_policy_allocator_matrix(self, policy, dyn, toy_model):
-        """Every policy x both allocators, three engines, one trace."""
+        """Every policy x both allocators, both engines, one trace."""
         config = _config()
         trace = _idle_heavy_trace(config)
         out = _run_engines(config, trace, policy, toy_model, dyn=dyn)
@@ -177,7 +179,7 @@ class TestArrayEngineEquivalence:
     )
     @pytest.mark.parametrize("dyn", [True, False])
     def test_faulted(self, policy, dyn, toy_model):
-        """Wavelength + droop + bit-error faults on all three engines."""
+        """Wavelength + droop + bit-error faults on both engines."""
         config = _config()
         out = _run_engines(
             config,
@@ -216,7 +218,7 @@ class TestArrayEngineEquivalence:
     def test_batched_boundaries_stagger_zero(self, toy_model):
         """Unstaggered windows: all 17 rows close on the same cycle, so
         the array engine's inference is one (17 x 30) @ (30,) matmul —
-        which must group identically to the scalar engines' batch."""
+        which must group identically to the reference engine's batch."""
         config = _config(stagger=0)
         out = _run_engines(
             config, _pair_trace(config), PowerPolicyKind.ML, toy_model
@@ -245,9 +247,35 @@ class TestArrayEngineEquivalence:
         _assert_all_equal(out)
         assert out["array"]["stats"]["link_total_cycles"] > 0
 
+    @pytest.mark.parametrize(
+        "warmup,seed", [(50, 58730), (200, 58730), (205, 3)]
+    )
+    def test_laser_flip_inside_skipped_span(self, warmup, seed):
+        """A laser turn-on completing inside an idle span the array core
+        skips right before the warm-up or end-of-run settlement must
+        split the ledger at the flip: not book the rest as stall, and
+        not settle the ledger backwards once measurement starts."""
+        config = _config(measure=1_000, warmup=warmup)
+        out = _run_engines(
+            config, Trace([], name="empty"), PowerPolicyKind.RANDOM, seed=seed
+        )
+        _assert_all_equal(out)
+
+    @pytest.mark.parametrize("links", [1, 8])
+    def test_l3_parallel_link_banks(self, links):
+        """The banked L3 router's engine array, narrow and wide."""
+        config = _config()
+        out = _run_engines(
+            config,
+            _idle_heavy_trace(config, seed=11),
+            PowerPolicyKind.REACTIVE,
+            links=links,
+        )
+        _assert_all_equal(out)
+
 
 class TestCollectiveWorkloads:
-    """Phase-structured collective schedules through all three engines.
+    """Phase-structured collective schedules through both engines.
 
     The collective compiler emits bursty, barrier-ordered traffic with
     multi-flit packets — a different injection shape from the pair and
@@ -340,7 +368,7 @@ class TestNonDefaultClusterCounts:
             seed=7,
         )
         out = {}
-        for engine in ("fast", "array"):
+        for engine in ALL_ENGINES:
             network = PearlNetwork(
                 config=config, power_policy=PowerPolicyKind.REACTIVE, seed=7
             )
@@ -348,7 +376,7 @@ class TestNonDefaultClusterCounts:
             out[engine] = _canonical(
                 network, network.run(trace, engine=engine)
             )
-        assert out["fast"] == out["array"]
+        assert out["reference"] == out["array"]
         delivered = sum(
             c["packets_delivered"]
             for c in out["array"]["stats"]["counters"].values()
@@ -555,6 +583,26 @@ def traces(draw):
             )
         )
     return Trace(events, name="random")
+
+
+class TestRandomTraceProperty:
+    @given(
+        trace=traces(),
+        policy=st.sampled_from(
+            [
+                PowerPolicyKind.STATIC,
+                PowerPolicyKind.REACTIVE,
+                PowerPolicyKind.ADAPTIVE,
+                PowerPolicyKind.RANDOM,
+            ]
+        ),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_random_traces_bit_identical(self, trace, policy, seed):
+        """Arbitrary bursty traces: both engines agree byte-for-byte."""
+        config = _config(measure=1_000, warmup=50)
+        _assert_all_equal(_run_engines(config, trace, policy, seed=seed))
 
 
 class TestMidWindowStateProperties:

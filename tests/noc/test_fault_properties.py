@@ -161,14 +161,14 @@ class TestNoOpSchedules:
         baseline = PearlNetwork(
             _config(), power_policy=PowerPolicyKind.REACTIVE, seed=3
         )
-        base = baseline.run(trace, engine="fast")
+        base = baseline.run(trace, engine="reference")
         faulted = PearlNetwork(
             _config(),
             power_policy=PowerPolicyKind.REACTIVE,
             seed=3,
             faults=schedule,
         )
-        got = faulted.run(trace, engine="fast")
+        got = faulted.run(trace, engine="reference")
         assert got.stats.to_dict() == base.stats.to_dict()
         assert got.state_residency == base.state_residency
 
@@ -204,7 +204,7 @@ class TestConservation:
             seed=3,
             faults=schedule,
         )
-        result = network.run(trace, engine="fast")
+        result = network.run(trace, engine="reference")
         stats = result.stats
         injected = sum(
             c.packets_injected for c in stats.counters.values()
@@ -230,7 +230,7 @@ class TestConservation:
             seed=3,
             faults=schedule,
         )
-        result = network.run(trace, engine="fast")
+        result = network.run(trace, engine="reference")
         assert result.stats.packets_dropped == 0
         assert (
             result.stats.crc_errors == result.stats.retransmissions
@@ -288,7 +288,7 @@ class TestWavelengthRemap:
             name="mixed",
         )
         network = PearlNetwork(_config(), seed=3, faults=schedule)
-        network.run(trace, engine="fast")
+        network.run(trace, engine="reference")
         for router in network.routers:
             disabled = router._fault_injector.disabled_wavelengths
             assignment = router.wavelength_assignment()

@@ -1,13 +1,15 @@
 """Tests for repro.noc.network — the closed-loop PEARL simulator."""
 
+import numpy as np
 import pytest
 
 from repro.config import PearlConfig, SimulationConfig
+from repro.ml.ridge import RidgeRegression
 from repro.noc.network import PearlNetwork, ResponderConfig
-from repro.noc.packet import CoreType
+from repro.noc.packet import CacheLevel, CoreType, PacketClass
 from repro.noc.router import PowerPolicyKind
 from repro.traffic.synthetic import uniform_random_trace
-from repro.traffic.trace import Trace
+from repro.traffic.trace import InjectionEvent, Trace
 
 
 def _config(measure=1_500, warmup=100):
@@ -151,6 +153,45 @@ class TestCollectionMode:
         router_ids = {rid for rid, _ in samples}
         assert router_ids == set(range(17))
 
+    def test_default_engine_collects_reference_stream(
+        self, tiny_config, tiny_trace
+    ):
+        """Offline training collects on the default engine: both ML
+        pipeline phases (RANDOM, then ML with 8 WL disabled) must hand
+        the hook the reference engine's exact (router, features, label)
+        stream."""
+
+        def collect(run_kwargs, **network_kwargs):
+            network = PearlNetwork(tiny_config, seed=5, **network_kwargs)
+            stream = []
+            network.enable_collection(
+                lambda rid, feats, label: stream.append(
+                    (rid, feats.tolist(), label)
+                )
+            )
+            network.run(tiny_trace, **run_kwargs)
+            return stream
+
+        reference = {"engine": "reference"}
+        default = {}
+        random_phase = dict(power_policy=PowerPolicyKind.RANDOM)
+        random_stream = collect(reference, **random_phase)
+        assert len(random_stream) > 17
+        assert collect(default, **random_phase) == random_stream
+
+        # Phase 2 drives the ML policy with a model fit on phase 1.
+        model = RidgeRegression(lam=1.0)
+        model.fit(
+            np.array([feats for _, feats, _ in random_stream]),
+            np.array([label for _, _, label in random_stream]),
+        )
+        ml_phase = dict(
+            power_policy=PowerPolicyKind.ML, ml_model=model, allow_8wl=False
+        )
+        ml_stream = collect(reference, **ml_phase)
+        assert len(ml_stream) > 17
+        assert collect(default, **ml_phase) == ml_stream
+
 
 class TestResponderConfig:
     def test_validation(self):
@@ -205,3 +246,74 @@ class TestAdaptivePolicy:
         ]
         assert len(scalers) == 17
         assert any(s.scale_history for s in scalers)
+
+
+class TestEngineSelection:
+    def test_engines(self):
+        assert PearlNetwork.ENGINES == ("reference", "array")
+
+    def test_array_is_the_default(self, tiny_config):
+        network = PearlNetwork(tiny_config)
+        network.run(Trace([], name="empty"))
+        assert network.last_engine_used == "array"
+
+    @pytest.mark.parametrize("engine", ["warp", "fast"])
+    def test_unknown_engine_rejected(self, engine):
+        network = PearlNetwork(_config(measure=200, warmup=0))
+        with pytest.raises(ValueError, match="unknown engine"):
+            network.run(Trace([], name="empty"), engine=engine)
+
+
+def _flood(source, n):
+    """``n`` one-flit CPU requests from ``source`` to L3, all at cycle 0."""
+    events = [
+        InjectionEvent(
+            cycle=0,
+            source=source,
+            destination=16,
+            core_type=CoreType.CPU,
+            packet_class=PacketClass.REQUEST,
+            cache_level=CacheLevel.CPU_L2_DOWN,
+        )
+        for _ in range(n)
+    ]
+    return Trace(events, name="flood")
+
+
+class TestInjectionBacklogOrdering:
+    """Pinned to the reference engine: the tracking test wraps
+    ``router.inject``, which only the per-router scalar path calls."""
+
+    def test_backlog_preserves_fifo_order(self):
+        """Packets stalled at a full input buffer inject oldest-first.
+
+        64 CPU slots fill with the first 64 one-flit requests; the rest
+        queue in the network backlog and must enter the buffer in
+        creation order as the router drains.
+        """
+        n = 100  # > cpu_buffer_slots
+        network = PearlNetwork(_config(measure=2_000, warmup=0), seed=3)
+        network.run(_flood(2, n), engine="reference")
+        # Requests plus their closed-loop responses all entered despite
+        # the initial overflow, and nothing is left stranded.
+        injected = network.stats.counters[CoreType.CPU].packets_injected
+        assert injected >= n
+        assert network.injection_backlog_size == 0
+
+    def test_backlog_fifo_cycles_monotonic(self):
+        """injected_cycle is non-decreasing in packet creation order."""
+        packets = []
+        network = PearlNetwork(_config(measure=2_000, warmup=0), seed=3)
+        original_inject = network.routers[4].inject
+
+        def tracking_inject(packet, cycle):
+            packets.append(packet)
+            original_inject(packet, cycle)
+
+        network.routers[4].inject = tracking_inject
+        network.run(_flood(4, 90), engine="reference")
+        assert len(packets) == 90
+        cycles = [p.injected_cycle for p in packets]
+        assert cycles == sorted(cycles)
+        ids = [p.packet_id for p in packets]
+        assert ids == sorted(ids)
