@@ -1,5 +1,10 @@
 """Differential golden-run tests: every policy × allocator × engine.
 
+Each case is also run with telemetry enabled, which routes the run
+through the instrumented warm-up/measure/energy path of each engine;
+telemetry is strictly observational, so it must reproduce the same
+snapshot.
+
 A failure here means the simulated behaviour changed.  If the change
 is intentional, regenerate the snapshots with
 ``python scripts/update_golden.py`` and commit the diff alongside the
@@ -12,6 +17,9 @@ import json
 from pathlib import Path
 
 import pytest
+
+from repro import obs
+from repro.obs import OBS
 
 from .golden_cases import (
     ALLOCATORS,
@@ -51,25 +59,51 @@ def _diff(expected: dict, actual: dict, prefix: str = "") -> list:
     return lines
 
 
+def _assert_matches_snapshot(stem: str, actual: dict, label: str) -> None:
+    path = SNAPSHOT_DIR / f"{stem}.json"
+    assert path.exists(), (
+        f"missing snapshot {path.name}; run scripts/update_golden.py"
+    )
+    expected = json.loads(path.read_text())
+    if actual != expected:
+        differences = "\n".join(_diff(expected, actual))
+        pytest.fail(
+            f"golden mismatch for {label}:\n{differences}\n"
+            "If this change is intentional, regenerate with "
+            "scripts/update_golden.py."
+        )
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize(
     "policy,allocator", CASES, ids=[f"{p}-{a}" for p, a in CASES]
 )
 def test_golden_run(policy: str, allocator: str, engine: str) -> None:
-    path = SNAPSHOT_DIR / f"{policy}_{allocator}.json"
-    assert path.exists(), (
-        f"missing snapshot {path.name}; run scripts/update_golden.py"
+    _assert_matches_snapshot(
+        f"{policy}_{allocator}",
+        run_case(policy, allocator, engine),
+        f"{policy}/{allocator} on the {engine} engine",
     )
-    expected = json.loads(path.read_text())
-    actual = run_case(policy, allocator, engine)
-    if actual != expected:
-        differences = "\n".join(_diff(expected, actual))
-        pytest.fail(
-            f"golden mismatch for {policy}/{allocator} on the {engine} "
-            f"engine:\n{differences}\n"
-            "If this change is intentional, regenerate with "
-            "scripts/update_golden.py."
-        )
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize(
+    "policy,allocator", CASES, ids=[f"{p}-{a}" for p, a in CASES]
+)
+def test_golden_run_instrumented(
+    policy: str, allocator: str, engine: str
+) -> None:
+    """Telemetry on: the instrumented path pins the same snapshot."""
+    with obs.session():
+        actual = run_case(policy, allocator, engine)
+        assert OBS.engines == {engine: 1}
+        spans = {e.name for e in OBS.tracer.events() if e.wall}
+        assert {"sim/warmup", "sim/measure"} <= spans
+    _assert_matches_snapshot(
+        f"{policy}_{allocator}",
+        actual,
+        f"{policy}/{allocator} on the instrumented {engine} engine",
+    )
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -80,57 +114,46 @@ def test_golden_retrain_mid_run(engine: str) -> None:
     ids (content digests of the refit weights + training key), so the
     online retraining arithmetic itself is under snapshot control.
     """
-    path = SNAPSHOT_DIR / f"{RETRAIN_CASE}.json"
-    assert path.exists(), (
-        f"missing snapshot {path.name}; run scripts/update_golden.py"
-    )
-    expected = json.loads(path.read_text())
     actual = run_retrain_case(engine)
     assert actual["retrain_events"] >= 1, "the golden case must retrain"
-    if actual != expected:
-        differences = "\n".join(_diff(expected, actual))
-        pytest.fail(
-            f"golden mismatch for {RETRAIN_CASE} on the {engine} "
-            f"engine:\n{differences}\n"
-            "If this change is intentional, regenerate with "
-            "scripts/update_golden.py."
-        )
+    _assert_matches_snapshot(
+        RETRAIN_CASE, actual, f"{RETRAIN_CASE} on the {engine} engine"
+    )
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_golden_retrain_mid_run_instrumented(engine: str) -> None:
+    """Telemetry on: the retrain is traced and the snapshot holds."""
+    with obs.session():
+        actual = run_retrain_case(engine)
+        instants = [e for e in OBS.tracer.events() if e.name == "ml_retrain"]
+        retrains = OBS.registry.counter("ml/retrain_events").value
+    assert actual["retrain_events"] >= 1, "the golden case must retrain"
+    assert len(instants) == retrains == actual["retrain_events"]
+    _assert_matches_snapshot(
+        RETRAIN_CASE,
+        actual,
+        f"{RETRAIN_CASE} on the instrumented {engine} engine",
+    )
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_golden_collective_retrain(engine: str) -> None:
     """The collective-driven drift->retrain->promote case, per engine."""
-    path = SNAPSHOT_DIR / f"{COLLECTIVE_RETRAIN_CASE}.json"
-    assert path.exists(), (
-        f"missing snapshot {path.name}; run scripts/update_golden.py"
-    )
-    expected = json.loads(path.read_text())
     actual = run_collective_retrain_case(engine)
     assert actual["retrain_events"] >= 1, "the golden case must retrain"
-    if actual != expected:
-        differences = "\n".join(_diff(expected, actual))
-        pytest.fail(
-            f"golden mismatch for {COLLECTIVE_RETRAIN_CASE} on the "
-            f"{engine} engine:\n{differences}\n"
-            "If this change is intentional, regenerate with "
-            "scripts/update_golden.py."
-        )
+    _assert_matches_snapshot(
+        COLLECTIVE_RETRAIN_CASE,
+        actual,
+        f"{COLLECTIVE_RETRAIN_CASE} on the {engine} engine",
+    )
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_golden_collective_pam4(engine: str) -> None:
     """The PAM4 all-to-all case: multilevel signaling under snapshot."""
-    path = SNAPSHOT_DIR / f"{COLLECTIVE_PAM4_CASE}.json"
-    assert path.exists(), (
-        f"missing snapshot {path.name}; run scripts/update_golden.py"
+    _assert_matches_snapshot(
+        COLLECTIVE_PAM4_CASE,
+        run_collective_pam4_case(engine),
+        f"{COLLECTIVE_PAM4_CASE} on the {engine} engine",
     )
-    expected = json.loads(path.read_text())
-    actual = run_collective_pam4_case(engine)
-    if actual != expected:
-        differences = "\n".join(_diff(expected, actual))
-        pytest.fail(
-            f"golden mismatch for {COLLECTIVE_PAM4_CASE} on the "
-            f"{engine} engine:\n{differences}\n"
-            "If this change is intentional, regenerate with "
-            "scripts/update_golden.py."
-        )

@@ -167,6 +167,24 @@ class TestArrayEngineEquivalence:
         out = _run_engines(config, trace, policy, toy_model, dyn=dyn)
         _assert_all_equal(out)
 
+    @pytest.mark.parametrize("seed", [1, 2, 9])
+    @pytest.mark.parametrize(
+        "policy", [PowerPolicyKind.REACTIVE, PowerPolicyKind.ML]
+    )
+    def test_seeds_on_benchmark_pair(self, seed, policy, toy_model):
+        """Benchmark-pair traffic for half the run, then an idle tail,
+        across trace and network seeds."""
+        config = _config(measure=1_200)
+        trace = generate_pair_trace(
+            CPU_BENCHMARKS["fluidanimate"],
+            GPU_BENCHMARKS["dct"],
+            config.architecture,
+            config.simulation.total_cycles // 2,
+            seed=seed,
+        )
+        out = _run_engines(config, trace, policy, toy_model, seed=seed)
+        _assert_all_equal(out)
+
     @pytest.mark.parametrize(
         "policy",
         [

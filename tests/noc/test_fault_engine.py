@@ -9,7 +9,8 @@ they pin the bug fix directly: ``LaserBank.request_state`` must cancel
 a pending *upward* transition when the same (or a lower) state is
 re-requested — the fault clamp re-requests the current state at fault
 onset, which used to leave a stale pending transition stalling the
-link.
+link.  The array core's event horizon is also pinned directly: an idle
+skip must stop at every fault onset and clear.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from repro.faults import (
 )
 from repro.ml.features import NUM_FEATURES
 from repro.ml.ridge import RidgeRegression
+from repro.noc.array_core import ArrayCore
 from repro.noc.network import PearlNetwork
 from repro.noc.router import PowerPolicyKind
 from repro.traffic.benchmarks import CPU_BENCHMARKS, GPU_BENCHMARKS
@@ -234,3 +236,43 @@ class TestLaserBankRegression:
             bank.tick()
         assert bank.state == 8
 
+
+
+def _unstaggered_core(schedule):
+    """An array core over an empty network whose only window boundaries
+    are cycles 0 and 1000, so fault events alone bound its skips."""
+    config = PearlConfig(
+        simulation=SimulationConfig(warmup_cycles=0, measure_cycles=400),
+        power_scaling=PowerScalingConfig(
+            reservation_window=1_000, router_stagger_cycles=0
+        ),
+        ml=MLConfig(reservation_window=1_000),
+    )
+    network = PearlNetwork(config=config, seed=3, faults=schedule)
+    core = ArrayCore(network)
+    core._advance(0, 1, None)
+    return core
+
+
+class TestEventHorizonGuard:
+    def test_horizon_stops_at_fault_onset_and_clear(self):
+        core = _unstaggered_core(
+            FaultSchedule(
+                wavelength_faults=(
+                    WavelengthFault(wavelengths=8, start=100, end=177),
+                )
+            )
+        )
+        assert core._event_horizon(1, 400, None) == 100
+        core._advance(1, 120, None)
+        assert core._event_horizon(120, 400, None) == 177
+        core._advance(120, 200, None)
+        assert core._event_horizon(200, 400, None) == 400
+
+    def test_horizon_stops_at_droop_onset(self):
+        core = _unstaggered_core(
+            FaultSchedule(
+                droop_faults=(LaserDroopFault(max_state=32, start=77),)
+            )
+        )
+        assert core._event_horizon(1, 400, None) == 77
