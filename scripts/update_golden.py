@@ -5,7 +5,8 @@ Run after an *intentional* simulator behaviour change and commit the
 resulting diff together with the code change.  Each case is simulated
 on both cycle engines (reference, array) and the script refuses
 to write a snapshot the engines disagree on — a divergence means a
-bug, not a new golden.
+bug, not a new golden.  The CMESH baseline has a single engine, so its
+cases are written as simulated.
 
 Usage: python scripts/update_golden.py
 """
@@ -22,16 +23,24 @@ sys.path.insert(0, str(ROOT))
 
 from tests.golden.golden_cases import (  # noqa: E402
     ALLOCATORS,
+    CMESH_CASES,
     COLLECTIVE_PAM4_CASE,
     COLLECTIVE_RETRAIN_CASE,
     ENGINES,
     POLICIES,
     RETRAIN_CASE,
     run_case,
+    run_cmesh_case,
     run_collective_pam4_case,
     run_collective_retrain_case,
     run_retrain_case,
 )
+
+
+def _write(outdir: Path, stem: str, doc: dict) -> None:
+    path = outdir / f"{stem}.json"
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {path.relative_to(ROOT)}")
 
 
 def _write_checked(outdir: Path, stem: str, results: dict) -> bool:
@@ -50,9 +59,7 @@ def _write_checked(outdir: Path, stem: str, results: dict) -> bool:
             file=sys.stderr,
         )
         return False
-    path = outdir / f"{stem}.json"
-    path.write_text(json.dumps(baseline, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {path.relative_to(ROOT)}")
+    _write(outdir, stem, baseline)
     return True
 
 
@@ -94,6 +101,8 @@ def main() -> int:
     }
     if not _write_checked(outdir, COLLECTIVE_PAM4_CASE, collective_pam4):
         return 1
+    for stem in CMESH_CASES:
+        _write(outdir, stem, run_cmesh_case(stem))
     return 0
 
 

@@ -6,6 +6,7 @@ combination, and the canonical form of each run is pinned as a JSON
 snapshot under ``tests/golden/snapshots/``.  Both cycle engines are
 checked against the *same* snapshot, so the harness simultaneously
 catches unintended behavioural drift and array/reference divergence.
+The electrical CMESH baseline is pinned the same way (``CMESH_CASES``).
 
 Regenerate snapshots with ``python scripts/update_golden.py`` after an
 *intentional* behaviour change (see ``docs/resilience.md``).
@@ -21,10 +22,13 @@ import numpy as np
 from repro.config import PearlConfig, SimulationConfig
 from repro.ml.features import NUM_FEATURES
 from repro.ml.ridge import RidgeRegression
+from repro.noc.cmesh import CMeshNetwork
 from repro.noc.network import PearlNetwork, PearlRunResult
+from repro.noc.packet import CoreType
 from repro.noc.router import PowerPolicyKind
+from repro.noc.stats import NetworkStats
 from repro.traffic.benchmarks import get_benchmark
-from repro.traffic.synthetic import generate_pair_trace
+from repro.traffic.synthetic import generate_pair_trace, uniform_random_trace
 
 GOLDEN_SEED = 11
 POLICIES = (
@@ -75,19 +79,25 @@ def case_names() -> List[str]:
     return [f"{policy}_{alloc}" for policy in POLICIES for alloc in ALLOCATORS]
 
 
-def canonical(result: PearlRunResult) -> Dict[str, object]:
-    """The JSON-able canonical form of one run, compared exactly.
+def canonical_stats(stats: NetworkStats) -> Dict[str, object]:
+    """``stats.to_dict()`` with the latency list folded into a digest.
 
     Per-packet latencies are folded into a digest so snapshots stay
     small while still pinning every individual latency sample.
     """
-    stats = result.stats
     latency_digest = hashlib.sha256(
         ",".join(str(value) for value in stats._latencies).encode()
     ).hexdigest()
     return {
         "stats": stats.to_dict(include_latencies=False),
         "latencies_sha256": latency_digest,
+    }
+
+
+def canonical(result: PearlRunResult) -> Dict[str, object]:
+    """The JSON-able canonical form of one run, compared exactly."""
+    return {
+        **canonical_stats(result.stats),
         "state_residency": {
             str(state): fraction
             for state, fraction in sorted(result.state_residency.items())
@@ -97,16 +107,21 @@ def canonical(result: PearlRunResult) -> Dict[str, object]:
     }
 
 
-def run_case(policy: str, allocator: str, engine: str) -> Dict[str, object]:
-    """Simulate one golden case and return its canonical form."""
-    config = golden_config()
-    trace = generate_pair_trace(
+def _pair_trace(config: PearlConfig):
+    """The fluidanimate+dct pair trace shared by the golden cases."""
+    return generate_pair_trace(
         get_benchmark("fluidanimate"),
         get_benchmark("dct"),
         config.architecture,
         config.simulation.total_cycles,
         GOLDEN_SEED,
     )
+
+
+def run_case(policy: str, allocator: str, engine: str) -> Dict[str, object]:
+    """Simulate one golden case and return its canonical form."""
+    config = golden_config()
+    trace = _pair_trace(config)
     network = PearlNetwork(
         config,
         power_policy=PowerPolicyKind(policy),
@@ -115,6 +130,42 @@ def run_case(policy: str, allocator: str, engine: str) -> Dict[str, object]:
         seed=GOLDEN_SEED,
     )
     return canonical(network.run(trace, engine=engine))
+
+
+def _saturated_trace(config: PearlConfig):
+    """Uniform random GPU traffic well past the mesh's saturation point.
+
+    Destinations span the L3 alias, so requests and responses exercise
+    the address-interleaved L3 bank routers.
+    """
+    return uniform_random_trace(
+        CoreType.GPU,
+        rate=0.4,
+        architecture=config.architecture,
+        duration=config.simulation.total_cycles,
+        seed=GOLDEN_SEED,
+    )
+
+
+#: CMESH golden cases: snapshot stem -> (trace builder, bandwidth divisor).
+CMESH_CASES = {
+    "cmesh_pair_bw1": (_pair_trace, 1),
+    "cmesh_pair_bw2": (_pair_trace, 2),
+    "cmesh_pair_bw4": (_pair_trace, 4),
+    "cmesh_saturated_bw2": (_saturated_trace, 2),
+}
+
+
+def run_cmesh_case(stem: str) -> Dict[str, object]:
+    """Simulate one CMESH golden case and return its canonical form."""
+    build_trace, bandwidth_divisor = CMESH_CASES[stem]
+    config = golden_config()
+    network = CMeshNetwork(
+        simulation=config.simulation,
+        bandwidth_divisor=bandwidth_divisor,
+        seed=GOLDEN_SEED,
+    )
+    return canonical_stats(network.run(build_trace(config)))
 
 
 def drifting_model() -> RidgeRegression:
@@ -160,13 +211,7 @@ def run_retrain_case(engine: str) -> Dict[str, object]:
     from repro.ml.lifecycle.registry import ModelRegistry
 
     config = retrain_config()
-    trace = generate_pair_trace(
-        get_benchmark("fluidanimate"),
-        get_benchmark("dct"),
-        config.architecture,
-        config.simulation.total_cycles,
-        GOLDEN_SEED,
-    )
+    trace = _pair_trace(config)
     with tempfile.TemporaryDirectory() as tmp:
         network = PearlNetwork(
             config,

@@ -1,4 +1,5 @@
-"""Differential golden-run tests: every policy × allocator × engine.
+"""Differential golden-run tests: every policy × allocator × engine,
+plus the electrical CMESH baseline.
 
 Each case is also run with telemetry enabled, which routes the run
 through the instrumented warm-up/measure/energy path of each engine;
@@ -23,12 +24,14 @@ from repro.obs import OBS
 
 from .golden_cases import (
     ALLOCATORS,
+    CMESH_CASES,
     COLLECTIVE_PAM4_CASE,
     COLLECTIVE_RETRAIN_CASE,
     ENGINES,
     POLICIES,
     RETRAIN_CASE,
     run_case,
+    run_cmesh_case,
     run_collective_pam4_case,
     run_collective_retrain_case,
     run_retrain_case,
@@ -157,3 +160,9 @@ def test_golden_collective_pam4(engine: str) -> None:
         run_collective_pam4_case(engine),
         f"{COLLECTIVE_PAM4_CASE} on the {engine} engine",
     )
+
+
+@pytest.mark.parametrize("stem", list(CMESH_CASES))
+def test_golden_cmesh(stem: str) -> None:
+    """The CMESH baseline: stats, latencies and electrical energy."""
+    _assert_matches_snapshot(stem, run_cmesh_case(stem), f"CMESH {stem}")
