@@ -5,7 +5,10 @@ Runs a small workload matrix (idle-heavy, mixed, saturated) under the
 reference cycle-by-cycle engine and the struct-of-arrays array engine,
 verifies both are bit-identical, and writes ``BENCH_<label>.json`` with
 per-engine wall time, simulated cycles/second and the array engine's
-speedup over the reference.
+speedup over the reference.  On the mixed and saturated workloads the
+electrical CMESH baseline runs the same trace in the same process;
+``cmesh_s`` is its wall time and ``cmesh_over_reference`` its ratio to
+the reference PEARL engine.
 
 Usage::
 
@@ -24,11 +27,12 @@ beat the cold run by ``--min-resume-speedup`` (default 5x).
 engine is slower than the reference on the idle-heavy workload
 (``--min-idle-speedup``, default 1.0), or when its saturated speedup
 over the reference drops below ``--min-saturated-speedup`` (default
-1.3).  The committed full-run ``BENCH_*.json`` files are the
-performance trajectory of record (the array core clears 2x on
-saturated there); the CI floor is deliberately conservative so
-shared-runner timing noise cannot flake the build while
-order-of-magnitude regressions still fail it.
+1.3), or when the saturated ``cmesh_over_reference`` exceeds
+``MAX_SATURATED_CMESH_OVER_REFERENCE``.  The committed full-run
+``BENCH_*.json`` files are the performance trajectory of record (the
+array core clears 2x on saturated there); the CI floor is
+deliberately conservative so shared-runner timing noise cannot flake
+the build while order-of-magnitude regressions still fail it.
 See ``docs/performance.md`` for how to read the output.
 """
 
@@ -43,6 +47,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.config import PearlConfig, SimulationConfig  # noqa: E402
+from repro.noc.cmesh import CMeshNetwork  # noqa: E402
 from repro.noc.network import PearlNetwork  # noqa: E402
 from repro.noc.packet import CoreType  # noqa: E402
 from repro.noc.router import PowerPolicyKind  # noqa: E402
@@ -53,6 +58,14 @@ from repro.traffic.synthetic import (  # noqa: E402
 )
 
 ENGINES = ("reference", "array")
+
+#: Workloads on which the CMESH baseline is timed beside the engines.
+CMESH_WORKLOADS = ("mixed", "saturated")
+
+#: ``--check`` ceiling on saturated CMESH wall time over the reference
+#: PEARL engine's: 1.2-1.7 in the committed full-run BENCH json, while a
+#: CMESH allocator that re-scans its VCs per output port reads ~2.4.
+MAX_SATURATED_CMESH_OVER_REFERENCE = 2.0
 
 POLICIES = {
     "static": PowerPolicyKind.STATIC,
@@ -138,20 +151,31 @@ def run_matrix(quick: bool, repeats: int) -> dict:
     for workload, config, trace in _workloads(quick):
         cycles = config.simulation.total_cycles
         for policy_name, policy in POLICIES.items():
-            # Interleave the engines inside each repeat (best-of-N) so
-            # machine-load drift hits both variants equally.
-            walls = {engine: float("inf") for engine in ENGINES}
+            # Interleave the variants inside each repeat (best-of-N) so
+            # machine-load drift hits all of them equally.
+            timed = ENGINES
+            if workload in CMESH_WORKLOADS:
+                timed += ("cmesh",)
+            walls = {variant: float("inf") for variant in timed}
             outputs = {}
             for _ in range(repeats):
-                for engine in ENGINES:
-                    network = PearlNetwork(
-                        config=config, power_policy=policy, seed=3
-                    )
-                    start = time.perf_counter()
-                    result = network.run(trace, engine=engine)
+                for variant in timed:
+                    if variant == "cmesh":
+                        network = CMeshNetwork(
+                            simulation=config.simulation, seed=3
+                        )
+                        start = time.perf_counter()
+                        network.run(trace)
+                    else:
+                        network = PearlNetwork(
+                            config=config, power_policy=policy, seed=3
+                        )
+                        start = time.perf_counter()
+                        result = network.run(trace, engine=variant)
                     wall = time.perf_counter() - start
-                    walls[engine] = min(walls[engine], wall)
-                    outputs[engine] = _canonical(network, result)
+                    walls[variant] = min(walls[variant], wall)
+                    if variant != "cmesh":
+                        outputs[variant] = _canonical(network, result)
             identical = outputs["array"] == outputs["reference"]
             entries[f"{workload}/{policy_name}"] = {
                 "workload": workload,
@@ -168,19 +192,30 @@ def run_matrix(quick: bool, repeats: int) -> dict:
                 },
             }
             entry = entries[f"{workload}/{policy_name}"]
+            cmesh = ""
+            if "cmesh" in walls:
+                entry["cmesh_s"] = walls["cmesh"]
+                entry["cmesh_over_reference"] = (
+                    walls["cmesh"] / walls["reference"]
+                )
+                cmesh = (
+                    f" cmesh={walls['cmesh']:.3f}s "
+                    f"(x{entry['cmesh_over_reference']:.2f} of ref)"
+                )
             print(
                 f"{workload:11s} {policy_name:9s} "
                 f"ref={walls['reference']:.3f}s "
                 f"array={walls['array']:.3f}s "
                 f"x{entry['speedup']:.2f} "
-                f"identical={identical}",
+                f"identical={identical}{cmesh}",
                 flush=True,
             )
     return entries
 
 
 def check(entries: dict, min_idle_speedup: float, min_sat_speedup: float):
-    """The CI gate: equivalence always, array-vs-reference speed floors."""
+    """The CI gate: equivalence always, array-vs-reference speed floors,
+    and a ceiling on the saturated CMESH-vs-reference ratio."""
     floors = {"idle_heavy": min_idle_speedup, "saturated": min_sat_speedup}
     failures = []
     for name, entry in entries.items():
@@ -191,6 +226,16 @@ def check(entries: dict, min_idle_speedup: float, min_sat_speedup: float):
             failures.append(
                 f"{name}: array speedup {entry['speedup']:.2f} < "
                 f"required {floor:.2f}"
+            )
+        if (
+            entry["workload"] == "saturated"
+            and entry["cmesh_over_reference"]
+            > MAX_SATURATED_CMESH_OVER_REFERENCE
+        ):
+            failures.append(
+                f"{name}: CMESH takes {entry['cmesh_over_reference']:.2f}x "
+                f"the reference engine's time (ceiling "
+                f"{MAX_SATURATED_CMESH_OVER_REFERENCE:.2f})"
             )
     return failures
 

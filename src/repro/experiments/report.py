@@ -130,6 +130,14 @@ recomputation).  Runs can be instrumented with the telemetry layer
   test within +/-0.15 of validation) but our RW2000 model does not
   collapse to 0.05: the synthetic traces are more stationary across
   windows than Multi2Sim's.
+* **CMESH ejection rate** — each CMESH router ejects at most one flit
+  per cycle: its local output is allocated like a mesh output, one
+  winner per cycle.  (A two-flit eject budget in the allocator was
+  never reachable and has been removed.)  Under convergent traffic the
+  ejection port can therefore bottleneck the baseline, which may
+  explain part of fig9's 8.5 pp excess over the paper's 34% PEARL-Dyn
+  gain.  Raising the rate changes CMESH results, so it is left for a
+  separate change.
 """
 
 

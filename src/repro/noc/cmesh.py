@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -35,12 +35,10 @@ from ..traffic.trace import Trace, TraceCursor
 #: Mesh routers hosting an L3 bank (the four centre nodes of the 4x4).
 L3_BANK_ROUTERS = (5, 6, 9, 10)
 
-#: Port indices.
+#: Port indices.  LOCAL is allocated like a mesh output, one winner per
+#: cycle, so a router ejects at most one flit per cycle.
 NORTH, EAST, SOUTH, WEST, LOCAL = range(5)
 _OPPOSITE = {NORTH: SOUTH, SOUTH: NORTH, EAST: WEST, WEST: EAST}
-
-#: Flits the local port can eject per cycle.
-EJECT_PER_CYCLE = 2
 
 
 def l3_bank_for(packet: Packet) -> int:
@@ -81,11 +79,23 @@ class CMeshRouter:
             ]
             for port in range(5)
         ]
+        #: Every input VC with its (input port, vc index), in that order.
+        self.vc_slots: List[Tuple[Tuple[int, int], VirtualChannelBuffer]] = [
+            ((port, vc_idx), vc)
+            for port, vcs in enumerate(self.inputs)
+            for vc_idx, vc in enumerate(vcs)
+        ]
         self.outputs: List[_OutputPort] = [_OutputPort() for _ in range(5)]
         # Packets waiting to enter the local input port.
         self.injection_queue: List[Packet] = []
-        self._inject_cursor: Optional[Tuple[Packet, int]] = None  # packet, flit idx
-        self.flits_routed = 0
+        # The packet being fed in: (packet, its flits, next flit index).
+        self._inject_cursor: Optional[Tuple[Packet, List[Flit], int]] = None
+        #: Router id across each port, as :meth:`neighbor` gives it.
+        self.neighbors = [self.neighbor(port) for port in range(5)]
+        #: Output port toward each mesh router, as :meth:`route` gives it.
+        self.route_table = [
+            self.route(destination) for destination in range(config.num_routers)
+        ]
 
     def route(self, destination_router: int) -> int:
         """XY dimension-order routing: X first, then Y."""
@@ -112,16 +122,6 @@ class CMeshRouter:
         if port == WEST and self.x > 0:
             return self.router_id - 1
         return None
-
-    def buffer_occupancy(self) -> float:
-        """Mean occupied fraction across all input VCs (diagnostics)."""
-        total = sum(
-            len(vc)
-            for port in self.inputs
-            for vc in port
-        )
-        capacity = 5 * self.config.virtual_channels * self.config.buffers_per_vc
-        return total / capacity
 
 
 class CMeshNetwork:
@@ -155,16 +155,10 @@ class CMeshNetwork:
         self._sequence = 0
         self._flit_hops = 0
         self._router_traversals = 0
-        # Packets partially ejected: packet_id -> flits seen.
-        self._eject_progress: Dict[int, int] = {}
+        # Latest busy_until over every mesh output of every router (the
+        # last grant's, since each grant is ``cycle + bandwidth_divisor``).
+        self._links_busy_until = 0
         self._local_deliveries: List[Tuple[int, int, Packet]] = []
-
-    # -- destination mapping --------------------------------------------------
-
-    def _map_destination(self, packet: Packet) -> int:
-        if packet.destination == self.l3_alias:
-            return l3_bank_for(packet)
-        return packet.destination
 
     # -- responder (mirrors PearlNetwork) ----------------------------------------
 
@@ -240,19 +234,14 @@ class CMeshNetwork:
 
     def _feed_local_port(self, router: CMeshRouter) -> None:
         """Move flits from the injection queue into local-port VCs."""
+        vcs = router.inputs[LOCAL]
         while True:
             if router._inject_cursor is None:
                 if not router.injection_queue:
                     return
                 packet = router.injection_queue[0]
-                vcs = router.inputs[LOCAL]
-                vc = next((v for v in vcs if v.is_idle), None)
-                if vc is None:
-                    return
-                router._inject_cursor = (packet, 0)
-            packet, index = router._inject_cursor
-            flits = list(packet.flits())
-            vcs = router.inputs[LOCAL]
+                router._inject_cursor = (packet, list(packet.flits()), 0)
+            packet, flits, index = router._inject_cursor
             target = next(
                 (
                     v
@@ -264,19 +253,14 @@ class CMeshNetwork:
             )
             if target is None:
                 return
-            moved = False
             while index < len(flits) and target.can_accept(flits[index]):
                 target.push(flits[index])
                 index += 1
-                moved = True
-            if index >= len(flits):
-                router.injection_queue.pop(0)
-                router._inject_cursor = None
-            else:
-                router._inject_cursor = (packet, index)
-                if not moved:
-                    return
+            if index < len(flits):
+                router._inject_cursor = (packet, flits, index)
                 return
+            router.injection_queue.pop(0)
+            router._inject_cursor = None
 
     # -- one simulation cycle -------------------------------------------------------
 
@@ -295,20 +279,16 @@ class CMeshNetwork:
             self._on_delivered(packet, cycle)
         # 3. Feed injection flits into local ports.
         for router in self.routers:
-            self._feed_local_port(router)
+            if router.injection_queue:
+                self._feed_local_port(router)
         # 4. Switch allocation + traversal, two-phase for order independence.
         moves: List[Tuple[CMeshRouter, int, Flit, Optional[CMeshRouter], int]] = []
         for router in self.routers:
             self._allocate(router, cycle, moves)
         for router, out_port, flit, downstream, down_vc in moves:
             self._apply_move(router, out_port, flit, downstream, down_vc, cycle)
-        # 5. Link-utilization sample (mean over all routers).
-        busy = any(
-            output.busy_until > cycle
-            for router in self.routers
-            for output in router.outputs[:4]
-        )
-        self.stats.on_link_sample(busy)
+        # 5. Link-utilization sample: is any mesh link still serialising?
+        self.stats.on_link_sample(self._links_busy_until > cycle)
 
     def _allocate(
         self,
@@ -316,19 +296,39 @@ class CMeshNetwork:
         cycle: int,
         moves: List,
     ) -> None:
-        eject_budget = EJECT_PER_CYCLE
-        for out_port_idx in range(5):
+        # Route every VC head once and bucket it by output port, in
+        # (in_port, vc_idx) order.  A VC holds flits of one packet only
+        # (push allocates on the head flit, pop releases on the tail) and
+        # downstream pushes wait for _apply_move, so popping a flit for
+        # port p leaves that VC's next head routed to p: each bucket is
+        # still exact when its port's turn comes.
+        buckets: List[List[Tuple[int, int]]] = [[], [], [], [], []]
+        route_table = router.route_table
+        l3_alias = self.l3_alias
+        heads = 0
+        for slot, vc in router.vc_slots:
+            flit = vc.peek()
+            if flit is None:
+                continue
+            packet = flit.packet
+            destination = packet.destination
+            if destination == l3_alias:
+                destination = l3_bank_for(packet)
+            buckets[route_table[destination]].append(slot)
+            heads += 1
+        if not heads:
+            return
+        for out_port_idx, candidates in enumerate(buckets):
+            if not candidates:
+                continue
             output = router.outputs[out_port_idx]
             if cycle < output.busy_until:
                 continue
-            downstream_id = router.neighbor(out_port_idx)
+            downstream_id = router.neighbors[out_port_idx]
             downstream = (
                 self.routers[downstream_id] if downstream_id is not None else None
             )
             if out_port_idx != LOCAL and downstream is None:
-                continue
-            candidates = self._candidates(router, out_port_idx)
-            if not candidates:
                 continue
             # Round-robin among candidate (port, vc) pairs.
             candidates.sort(
@@ -339,8 +339,6 @@ class CMeshNetwork:
                 flit = vc.peek()
                 assert flit is not None
                 if out_port_idx == LOCAL:
-                    if eject_budget <= 0:
-                        break
                     if output.owner is None and not flit.is_head:
                         continue
                     if (
@@ -348,7 +346,6 @@ class CMeshNetwork:
                         and output.owner != (in_port, vc_idx)
                     ):
                         continue
-                    eject_budget -= 1
                     moves.append((router, out_port_idx, vc.pop(), None, -1))
                     self._update_owner(output, in_port, vc_idx, flit)
                     output.rr_pointer = in_port * 16 + vc_idx + 1
@@ -384,22 +381,9 @@ class CMeshNetwork:
                 self._update_owner(output, in_port, vc_idx, flit)
                 output.downstream_vc = down_vc_idx
                 output.busy_until = cycle + self.bandwidth_divisor
+                self._links_busy_until = output.busy_until
                 output.rr_pointer = in_port * 16 + vc_idx + 1
                 break
-
-    def _candidates(
-        self, router: CMeshRouter, out_port_idx: int
-    ) -> List[Tuple[int, int]]:
-        found: List[Tuple[int, int]] = []
-        for in_port in range(5):
-            for vc_idx, vc in enumerate(router.inputs[in_port]):
-                flit = vc.peek()
-                if flit is None:
-                    continue
-                destination = self._map_destination(flit.packet)
-                if router.route(destination) == out_port_idx:
-                    found.append((in_port, vc_idx))
-        return found
 
     @staticmethod
     def _update_owner(
@@ -422,13 +406,8 @@ class CMeshNetwork:
     ) -> None:
         self._router_traversals += 1
         if out_port == LOCAL:
-            packet = flit.packet
-            seen = self._eject_progress.get(packet.packet_id, 0) + 1
             if flit.is_tail:
-                self._eject_progress.pop(packet.packet_id, None)
-                self._on_delivered(packet, cycle)
-            else:
-                self._eject_progress[packet.packet_id] = seen
+                self._on_delivered(flit.packet, cycle)
             return
         assert downstream is not None
         self._flit_hops += 1

@@ -1,5 +1,7 @@
 """Tests for repro.noc.cmesh — the electrical wormhole-mesh baseline."""
 
+from collections import Counter
+
 import pytest
 
 from repro.config import CMeshConfig, SimulationConfig
@@ -14,9 +16,9 @@ from repro.noc.cmesh import (
     CMeshRouter,
     l3_bank_for,
 )
-from repro.noc.packet import CacheLevel, CoreType, make_request
+from repro.noc.packet import CacheLevel, CoreType, PacketClass, make_request
 from repro.traffic.synthetic import uniform_random_trace
-from repro.traffic.trace import Trace
+from repro.traffic.trace import InjectionEvent, Trace
 
 
 def _sim(measure=1_500, warmup=100):
@@ -58,6 +60,18 @@ class TestRouting:
         assert corner.neighbor(WEST) is None
         assert corner.neighbor(EAST) == 1
         assert corner.neighbor(SOUTH) == 4
+
+    def test_tables_match_methods(self):
+        """The allocator's lookup tables agree with route()/neighbor()."""
+        config = CMeshConfig()
+        for router_id in range(config.num_routers):
+            router = CMeshRouter(router_id, config)
+            assert router.neighbors == [
+                router.neighbor(port) for port in range(5)
+            ]
+            assert router.route_table == [
+                router.route(dest) for dest in range(config.num_routers)
+            ]
 
 
 class TestL3Mapping:
@@ -126,3 +140,40 @@ class TestSimulation:
         stats = network.run(trace)
         injected = sum(c.packets_injected for c in stats.counters.values())
         assert stats.packets_delivered == injected
+
+
+class TestEjection:
+    def test_one_flit_ejected_per_router_per_cycle(self):
+        """Two 5-flit packets converge on router 5 from its west and east
+        neighbours; their heads arrive together, and the local port
+        drains them one flit per cycle, back to back."""
+        events = [
+            InjectionEvent(
+                cycle=0,
+                source=source,
+                destination=5,
+                core_type=CoreType.CPU,
+                packet_class=PacketClass.REQUEST,
+                cache_level=CacheLevel.CPU_L2_DOWN,
+                size_flits=5,
+            )
+            for source in (4, 6)
+        ]
+        network = CMeshNetwork(
+            simulation=SimulationConfig(warmup_cycles=0, measure_cycles=200),
+            bandwidth_divisor=1,
+        )
+        ejected = Counter()
+        apply_move = network._apply_move
+
+        def recording(router, out_port, flit, downstream, down_vc, cycle):
+            if out_port == LOCAL:
+                ejected[(router.router_id, cycle)] += 1
+            apply_move(router, out_port, flit, downstream, down_vc, cycle)
+
+        network._apply_move = recording
+        network.run(Trace(events))
+        assert max(ejected.values()) == 1
+        cycles = sorted(cycle for router, cycle in ejected if router == 5)
+        assert len(cycles) == 10
+        assert cycles == list(range(cycles[0], cycles[0] + 10))
