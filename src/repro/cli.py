@@ -34,8 +34,7 @@ from typing import List, Optional
 from .config import PearlConfig, SimulationConfig
 from .noc.network import PearlNetwork
 from .noc.router import PowerPolicyKind
-from .traffic.benchmarks import CPU_BENCHMARKS, GPU_BENCHMARKS, get_benchmark
-from .traffic.synthetic import generate_pair_trace
+from .traffic.benchmarks import CPU_BENCHMARKS, GPU_BENCHMARKS
 
 
 def _workload(text: str) -> str:
@@ -516,10 +515,12 @@ def _telemetry_scope(args: argparse.Namespace):
     ):
         yield
         extra: dict = {}
-        requested = getattr(args, "_engine_requested", None)
-        if requested is not None:
-            extra["engine_requested"] = requested
-            extra["engine_used"] = getattr(args, "_engine_used", None)
+        # ``PearlNetwork.run`` has no silent downgrade, so the engine
+        # ``simulate --sim-engine`` asked for is the engine that ran.
+        engine = getattr(args, "sim_engine", None)
+        if engine is not None:
+            extra["engine_requested"] = engine
+            extra["engine_used"] = engine
         if obs.OBS.engines:
             extra["engines_used"] = dict(obs.OBS.engines)
         provenance = obs.collect_provenance(
@@ -586,6 +587,8 @@ def _cmd_all(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     import dataclasses
 
+    from .experiments.parallel import TraceSpec, collective_spec
+
     config = PearlConfig(
         simulation=SimulationConfig(
             warmup_cycles=args.warmup,
@@ -608,32 +611,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             )
         )
     if args.workload.startswith("collective:"):
-        from .traffic.collectives import generate_collective_trace
-
         workload_name = args.workload
-        trace = generate_collective_trace(
-            args.workload.split(":", 1)[1],
-            config.architecture,
-            duration=config.simulation.total_cycles,
-            seed=args.seed,
-        )
+        spec = collective_spec(args.workload.split(":", 1)[1], args.seed)
     else:
         workload_name = f"{args.cpu}+{args.gpu}"
-        trace = generate_pair_trace(
-            get_benchmark(args.cpu),
-            get_benchmark(args.gpu),
-            config.architecture,
-            config.simulation.total_cycles,
-            args.seed,
+        spec = TraceSpec(
+            kind="pair", cpu=args.cpu, gpu=args.gpu, seed=args.seed
         )
-    policy = {
-        "static": PowerPolicyKind.STATIC,
-        "reactive": PowerPolicyKind.REACTIVE,
-        "adaptive": PowerPolicyKind.ADAPTIVE,
-        "ml": PowerPolicyKind.ML,
-        "proteus": PowerPolicyKind.PROTEUS,
-        "d3noc": PowerPolicyKind.D3NOC,
-    }[args.policy]
+    trace = spec.build(config)
+    policy = PowerPolicyKind(args.policy)
     ml_model = None
     if policy is PowerPolicyKind.ML:
         if args.model:
@@ -667,10 +653,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         faults=faults,
     )
     result = network.run(trace, engine=args.sim_engine)
-    # Provenance for --trace: which engine was asked for and which ran
-    # (always equal — run() has no silent downgrade).
-    args._engine_requested = network.last_engine_requested
-    args._engine_used = network.last_engine_used
     print(
         f"workload: {workload_name} policy={args.policy} "
         f"window={args.window} signaling={args.signaling}"

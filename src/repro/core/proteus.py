@@ -88,11 +88,6 @@ class ProteusPowerScaler(ReactivePowerScaler):
         #: States the demand rule proposed before the cap was applied.
         self.proposed: List[int] = []
 
-    @property
-    def sustainable_wavelengths(self) -> int:
-        """Wavelength count the laser budget can close the link at."""
-        return int(self.laser_budget_mw / self.link_budget.required_output_mw)
-
     def select_state(self, mean_occupancy: float) -> int:
         """Demand proposal clamped to the loss cap (both ladder states)."""
         proposed = super().select_state(mean_occupancy)

@@ -24,12 +24,14 @@ import tempfile
 from typing import Optional
 
 from ..config import PearlConfig, SimulationConfig
+from ..ml.lifecycle.registry import ModelRegistry
 from ..ml.pipeline import deployment_fitted_model
 from ..ml.ridge import RidgeRegression
 from ..noc.network import PearlNetwork
 from ..noc.router import PowerPolicyKind
 from ..power.energy import energy_per_bit_pj
-from ..traffic.collectives import COLLECTIVE_ALGORITHMS, generate_collective_trace
+from ..traffic.collectives import COLLECTIVE_ALGORITHMS
+from .parallel import collective_spec
 from .runner import FULL_CYCLES, QUICK_CYCLES, ExperimentResult, cached
 
 #: Quick mode exercises one bandwidth-optimal schedule; full sweeps all.
@@ -68,12 +70,7 @@ def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
                             base.photonic, signaling=signaling
                         )
                     )
-                trace = generate_collective_trace(
-                    algorithm,
-                    config.architecture,
-                    duration=config.simulation.total_cycles,
-                    seed=seed,
-                )
+                trace = collective_spec(algorithm, seed).build(config)
                 for policy in POLICY_GRID:
                     if policy == "ml":
                         for action in ("flag", "retrain"):
@@ -127,29 +124,22 @@ def _run_case(
     model: Optional[RidgeRegression],
     drift_action: Optional[str],
 ):
-    """One grid cell; retrain rows get an isolated throwaway registry."""
+    """One grid cell, run against an isolated throwaway registry.
+
+    Only ``retrain`` rows use the registry: their mid-run swaps promote
+    refit models into it, never into the shared model store.
+    """
     if policy == "ml":
         config = _drift_config(config, drift_action)
-        if drift_action == "retrain":
-            from ..ml.lifecycle.registry import ModelRegistry
-
-            with tempfile.TemporaryDirectory() as tmp:
-                network = PearlNetwork(
-                    config,
-                    power_policy=PowerPolicyKind.ML,
-                    ml_model=model,
-                    seed=seed,
-                    registry=ModelRegistry(tmp),
-                )
-                return network.run(trace)
+    with tempfile.TemporaryDirectory() as tmp:
         network = PearlNetwork(
-            config, power_policy=PowerPolicyKind.ML, ml_model=model, seed=seed
+            config,
+            power_policy=PowerPolicyKind(policy),
+            ml_model=model,
+            seed=seed,
+            registry=ModelRegistry(tmp),
         )
         return network.run(trace)
-    network = PearlNetwork(
-        config, power_policy=PowerPolicyKind(policy), seed=seed
-    )
-    return network.run(trace)
 
 
 def _add_row(

@@ -28,6 +28,7 @@ from ..noc.router import PowerPolicyKind
 from ..power.ml_overhead import MLHardwareModel
 from ..traffic.benchmarks import pair_name, test_pairs
 from ..traffic.synthetic import generate_pair_trace
+from .parallel import pair_spec
 from .runner import FULL_CYCLES, QUICK_CYCLES, ExperimentResult, cached
 
 #: Fixed-point formats swept (None = the float64 reference deployment).
@@ -55,13 +56,7 @@ def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
             )
         ).with_reservation_window(window)
         pair = test_pairs()[0]
-        trace = generate_pair_trace(
-            pair[0],
-            pair[1],
-            config.architecture,
-            config.simulation.total_cycles,
-            seed,
-        )
+        trace = pair_spec(pair, seed).build(config)
 
         # Offline fidelity reference: one quick random-state collection
         # supplies deployment-like feature rows for the NRMSE scoring.

@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -478,26 +478,24 @@ class ExperimentEngine:
                 pending.append(index)
 
         if self.jobs > 1 and len(pending) > 1:
-            workers = min(self.jobs, len(pending))
-            with ProcessPoolExecutor(
-                max_workers=workers,
+            pool = ProcessPoolExecutor(
+                max_workers=min(self.jobs, len(pending)),
                 initializer=_init_worker_obs,
                 initargs=(OBS.config(),),
-            ) as executor:
-                computed = list(
-                    executor.map(
-                        execute_job, [specs[i] for i in pending]
-                    )
-                )
+            )
+            mapper = pool.map
+        else:
+            pool = nullcontext()
+            mapper = map
+        # Each result is persisted as it arrives, so a job that raises
+        # leaves its finished siblings in the cache.
+        with pool:
+            computed = mapper(execute_job, [specs[i] for i in pending])
             for index, result in zip(pending, computed):
                 results[index] = result
-        else:
-            for index in pending:
-                results[index] = execute_job(specs[index])
+                if self.cache is not None:
+                    self.cache.put(specs[index], result)
 
-        if self.cache is not None:
-            for index in pending:
-                self.cache.put(specs[index], results[index])
         if OBS.enabled:
             self._record_batch_telemetry(results, executed=len(pending))
         return results  # type: ignore[return-value]

@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple
 
-from ..config import PearlConfig, SimulationConfig
+from ..config import SimulationConfig
 from ..traffic.benchmarks import BenchmarkProfile, pair_name, test_pairs
-from ..traffic.synthetic import generate_pair_trace
-from ..traffic.trace import Trace
 
 Pair = Tuple[BenchmarkProfile, BenchmarkProfile]
 
@@ -120,16 +118,6 @@ def simulation_config(quick: bool = True, seed: int = 1) -> SimulationConfig:
     warmup, measure = QUICK_CYCLES if quick else FULL_CYCLES
     return SimulationConfig(
         warmup_cycles=warmup, measure_cycles=measure, seed=seed
-    )
-
-
-def pair_trace(
-    pair: Pair, config: PearlConfig, seed: int = 1
-) -> Trace:
-    """The injection trace of one benchmark pair for a config."""
-    cpu, gpu = pair
-    return generate_pair_trace(
-        cpu, gpu, config.architecture, config.simulation.total_cycles, seed
     )
 
 

@@ -19,7 +19,6 @@ tests while exercising every stage.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -39,12 +38,6 @@ from .metrics import nrmse
 from .ridge import RidgeRegression, select_lambda
 
 Pair = Tuple[BenchmarkProfile, BenchmarkProfile]
-
-
-@contextmanager
-def _null_span(*args, **kwargs):
-    """No-op stand-in for the tracer's wall_span when telemetry is off."""
-    yield
 
 
 @dataclass
@@ -76,18 +69,17 @@ def collect_pair_dataset(
     trace = generate_pair_trace(
         cpu, gpu, config.architecture, config.simulation.total_cycles, seed
     )
-    if driving_model is None:
-        network = PearlNetwork(
-            config, power_policy=PowerPolicyKind.RANDOM, seed=seed
-        )
-    else:
-        network = PearlNetwork(
-            config,
-            power_policy=PowerPolicyKind.ML,
-            ml_model=driving_model,
-            allow_8wl=False,
-            seed=seed,
-        )
+    network = PearlNetwork(
+        config,
+        power_policy=(
+            PowerPolicyKind.RANDOM
+            if driving_model is None
+            else PowerPolicyKind.ML
+        ),
+        ml_model=driving_model,
+        allow_8wl=False,
+        seed=seed,
+    )
     dataset = FeatureDataset(name=f"{cpu.abbreviation}+{gpu.abbreviation}")
     network.enable_collection(
         lambda router_id, features, label: dataset.append(features, label)
@@ -152,15 +144,12 @@ class PowerModelTrainer:
 
     def train(self) -> TrainingResult:
         """Run the full pipeline and return the deployable model."""
-        from ..obs import OBS
+        from ..obs import OBS, wall_span
 
         history: List[str] = []
         ml: MLConfig = self.config.ml
-        obs_span = (
-            OBS.tracer.wall_span if OBS.enabled else _null_span
-        )
 
-        with obs_span("ml/phase1_collect", "training"):
+        with wall_span("ml/phase1_collect", "training"):
             phase1 = collect_datasets(
                 self.train_pairs, self.config, seed=self.seed
             )
@@ -172,13 +161,13 @@ class PowerModelTrainer:
         )
         X1, y1 = phase1.arrays()
         Xv, yv = val_set.arrays()
-        with obs_span("ml/phase1_fit", "training"):
+        with wall_span("ml/phase1_fit", "training"):
             model1, lam1 = select_lambda(
                 X1, y1, Xv, yv, ml.lambda_grid, standardize=ml.standardize_features
             )
         history.append(f"phase1 model: lambda={lam1}")
 
-        with obs_span("ml/phase2_collect", "training"):
+        with wall_span("ml/phase2_collect", "training"):
             phase2 = collect_datasets(
                 self.train_pairs,
                 self.config,
@@ -194,7 +183,7 @@ class PowerModelTrainer:
         history.append(f"phase2: {len(phase2)} train / {len(val2)} validation samples")
         X2, y2 = phase2.arrays()
         Xv2, yv2 = val2.arrays()
-        with obs_span("ml/phase2_fit", "training"):
+        with wall_span("ml/phase2_fit", "training"):
             model2, lam2 = select_lambda(
                 X2, y2, Xv2, yv2, ml.lambda_grid, standardize=ml.standardize_features
             )
@@ -282,6 +271,32 @@ def _result_from_record(record, model: RidgeRegression) -> TrainingResult:
     )
 
 
+def _register_training(
+    registry, result: TrainingResult, key: dict, config: PearlConfig, seed: int
+):
+    """Store a default-pipeline training in the model registry.
+
+    The model id digests only the weights, feature schema and training
+    key, so every caller storing the same training gets the same id.
+    """
+    from ..obs.provenance import collect_provenance
+    from .lifecycle.registry import feature_schema
+
+    return registry.put(
+        result.model,
+        training={
+            "key": key,
+            "lambda": result.lam,
+            "phase1_samples": result.phase1_samples,
+            "phase2_samples": result.phase2_samples,
+            "history": result.history,
+        },
+        metrics={"validation_nrmse": result.validation_nrmse},
+        schema=feature_schema(config.ml),
+        provenance=collect_provenance(config=config, seed=seed),
+    )
+
+
 def train_default_model(
     reservation_window: int = 500,
     quick: bool = True,
@@ -306,7 +321,6 @@ def train_default_model(
     retrained under the new schema.  Fresh trainings are promoted to
     the ``production`` tag.
     """
-    from ..obs.provenance import collect_provenance
     from .lifecycle.registry import (
         DEFAULT_TAG,
         default_registry,
@@ -315,8 +329,7 @@ def train_default_model(
     )
 
     config = PearlConfig().with_reservation_window(reservation_window)
-    schema = feature_schema(config.ml)
-    expected_hash = schema_hash(schema)
+    expected_hash = schema_hash(feature_schema(config.ml))
     key = _training_key(reservation_window, quick, seed)
     registry = default_registry()
     memo_key = (str(registry.root), reservation_window, quick, seed)
@@ -342,19 +355,7 @@ def train_default_model(
     result = trainer.train()
     _MODEL_CACHE[memo_key] = result
     if use_disk_cache:
-        record = registry.put(
-            result.model,
-            training={
-                "key": key,
-                "lambda": result.lam,
-                "phase1_samples": result.phase1_samples,
-                "phase2_samples": result.phase2_samples,
-                "history": result.history,
-            },
-            metrics={"validation_nrmse": result.validation_nrmse},
-            schema=schema,
-            provenance=collect_provenance(config=config, seed=seed),
-        )
+        record = _register_training(registry, result, key, config, seed)
         registry.promote(record.model_id, DEFAULT_TAG)
     return result
 
@@ -399,16 +400,5 @@ def ensure_model_file(
             return model_path
     # The memoised training skipped the registry write (or the artifact
     # was damaged): store the in-memory model now so the path exists.
-    record = registry.put(
-        result.model,
-        training={
-            "key": key,
-            "lambda": result.lam,
-            "phase1_samples": result.phase1_samples,
-            "phase2_samples": result.phase2_samples,
-            "history": result.history,
-        },
-        metrics={"validation_nrmse": result.validation_nrmse},
-        schema=feature_schema(config.ml),
-    )
+    record = _register_training(registry, result, key, config, seed)
     return registry.model_path(record.model_id)

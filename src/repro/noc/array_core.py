@@ -73,7 +73,7 @@ import numpy as np
 
 from ..ml.features import CACHE_LEVEL_ORDER
 from ..obs import OBS
-from ..traffic.trace import Trace, TraceCursor
+from ..traffic.trace import TraceCursor
 from .packet import CoreType, PacketClass
 from .router import (
     EJECTION_DRAIN_PER_CYCLE,
@@ -1435,37 +1435,17 @@ class ArrayCore:
                 reactive._occupancy_sum = float(self.r_sum[r])
                 reactive._samples = cycle - int(self.r_base[r]) - 1
 
-    # -- run ------------------------------------------------------------------------
-
-    def run(self, trace: Trace):
-        """Simulate warm-up plus measurement (mirrors ``_run_bare``)."""
-        net = self.net
-        sim = net.config.simulation
-        cursor = TraceCursor(trace)
-        self._advance(0, sim.warmup_cycles, cursor)
-        self._begin_measurement(sim.warmup_cycles)
-        self._advance(sim.warmup_cycles, sim.total_cycles, cursor)
-        self._finish(sim.total_cycles)
-        return net._result()
+    # -- measurement boundary -------------------------------------------------------
 
     def _begin_measurement(self, warmup: int) -> None:
         """Warm-up boundary: settle, reset integrals, re-anchor bases."""
-        net = self.net
         self._settle_links_all(warmup)
         self._settle_lasers_all(warmup)
-        net.stats.begin_measurement(warmup)
-        for router in self.routers:
-            router.reset_power_stats()
-        net.memory.stats.busy_cycles = 0
-        # ``begin_measurement``/``reset_power_stats`` zeroed the object
-        # counters; zero the array ledgers to match (state/pending and
-        # the open feature windows carry across, as in the scalar run).
+        self.net._begin_measurement(warmup)
+        # The shared reset zeroed the object counters; zero the array
+        # ledgers to match (state/pending and the open feature windows
+        # carry across, as in the scalar run).
         self.in_state[:] = 0
         self.at_power[:] = 0
         self.stall[:] = 0
         self._stats_link_base = warmup
-
-    def _finish(self, total: int) -> None:
-        self.sync_to_objects(total)
-        self.net.stats.finish(total)
-        self.net._integrate_energy()

@@ -28,7 +28,7 @@ from ..cache.memory import MemoryController
 from ..config import PearlConfig
 from ..core.ml_scaling import MLPowerScaler, StateSelector
 from ..faults import FaultSchedule, NetworkFaultContext, RouterFaultInjector
-from ..obs import OBS
+from ..obs import OBS, wall_span
 from ..ml.lifecycle.drift import DriftConfig, DriftMonitor
 from ..ml.lifecycle.quantized import QuantizedRidge
 from ..ml.ridge import RidgeRegression
@@ -236,11 +236,6 @@ class PearlNetwork:
         self.stats = NetworkStats()
         for router in self.routers:
             router._net_stats = self.stats
-        # Which engine the last run() call was asked for / executed on
-        # (always equal — there is no silent downgrade); recorded into
-        # trace provenance by the CLI.
-        self.last_engine_requested: Optional[str] = None
-        self.last_engine_used: Optional[str] = None
         self.memory = MemoryController(
             num_controllers=arch.memory_controllers,
             line_bytes=arch.cache_line_bytes,
@@ -646,6 +641,13 @@ class PearlNetwork:
         for cycle in range(start, end):
             step(cycle, cursor)
 
+    def _begin_measurement(self, warmup: int) -> None:
+        """Warm-up boundary: zero the counters the measurement reports."""
+        self.stats.begin_measurement(warmup)
+        for router in self.routers:
+            router.reset_power_stats()
+        self.memory.stats.busy_cycles = 0
+
     #: Engines accepted by :meth:`run`; both are bit-identical.
     ENGINES = ("reference", "array")
 
@@ -655,81 +657,37 @@ class PearlNetwork:
         ``engine`` selects ``"array"`` (the struct-of-arrays core in
         :mod:`repro.noc.array_core`, the default) or ``"reference"``
         (plain cycle-by-cycle :meth:`step`, the executable spec); both
-        produce bit-identical results.
+        produce bit-identical results.  This is the one run sequence for
+        both engines, with telemetry on or off: the array core plugs in
+        through ``_advance``, ``_begin_measurement`` and
+        ``sync_to_objects``.  The wall-clock spans are strictly
+        observational, so an instrumented run is bit-identical to a
+        bare one.
         """
         if engine not in self.ENGINES:
             raise ValueError(f"unknown engine {engine!r}")
-        self.last_engine_requested = engine
-        self.last_engine_used = engine
         if OBS.enabled:
             OBS.note_engine(engine)
-        if engine == "array":
-            core = ArrayCore(self)
-            if OBS.enabled:
-                return self._run_instrumented_array(core, trace)
-            return core.run(trace)
-        if OBS.enabled:
-            return self._run_instrumented(trace)
-        return self._run_bare(trace)
-
-    def _run_bare(self, trace: Trace) -> PearlRunResult:
+        core = ArrayCore(self) if engine == "array" else None
+        if core is None:
+            advance, begin = self._advance_cycles, self._begin_measurement
+        else:
+            advance, begin = core._advance, core._begin_measurement
         sim = self.config.simulation
+        warmup, total = sim.warmup_cycles, sim.total_cycles
         cursor = TraceCursor(trace)
-        self._advance_cycles(0, sim.warmup_cycles, cursor)
-        self.stats.begin_measurement(sim.warmup_cycles)
-        for router in self.routers:
-            router.reset_power_stats()
-        self.memory.stats.busy_cycles = 0
-        self._advance_cycles(sim.warmup_cycles, sim.total_cycles, cursor)
-        self.stats.finish(sim.total_cycles)
-        self._integrate_energy()
-        return self._result()
-
-    def _run_instrumented(self, trace: Trace) -> PearlRunResult:
-        """The same phases as :meth:`_run_bare` under profiling spans.
-
-        Instrumentation is strictly observational (wall-clock timers
-        and post-hoc metric flushes), so the simulated result is
-        bit-identical to an uninstrumented run.
-        """
-        sim = self.config.simulation
-        cursor = TraceCursor(trace)
-        tracer = OBS.tracer
-        with tracer.wall_span("sim/warmup", "sim", trace=trace.name):
-            self._advance_cycles(0, sim.warmup_cycles, cursor)
-        self.stats.begin_measurement(sim.warmup_cycles)
-        for router in self.routers:
-            router.reset_power_stats()
-        self.memory.stats.busy_cycles = 0
-        with tracer.wall_span("sim/measure", "sim", trace=trace.name):
-            self._advance_cycles(sim.warmup_cycles, sim.total_cycles, cursor)
-        self.stats.finish(sim.total_cycles)
-        with tracer.wall_span("sim/integrate_energy", "sim"):
+        with wall_span("sim/warmup", "sim", trace=trace.name):
+            advance(0, warmup, cursor)
+        begin(warmup)
+        with wall_span("sim/measure", "sim", trace=trace.name):
+            advance(warmup, total, cursor)
+        with wall_span("sim/integrate_energy", "sim"):
+            if core is not None:
+                core.sync_to_objects(total)
+            self.stats.finish(total)
             self._integrate_energy()
-        self._record_run_telemetry()
-        return self._result()
-
-    def _run_instrumented_array(self, core, trace: Trace) -> PearlRunResult:
-        """The array engine under the same profiling spans.
-
-        The array core is a first-class instrumented path: window
-        boundaries funnel through the shared ``_close_windows`` flow
-        (and so through each router's ``_record_window_telemetry``),
-        and the core's lazy DBA settlement replays the scalar per-cycle
-        split tallies exactly — the simulated result stays bit-identical
-        to an uninstrumented array run.
-        """
-        sim = self.config.simulation
-        cursor = TraceCursor(trace)
-        tracer = OBS.tracer
-        with tracer.wall_span("sim/warmup", "sim", trace=trace.name):
-            core._advance(0, sim.warmup_cycles, cursor)
-        core._begin_measurement(sim.warmup_cycles)
-        with tracer.wall_span("sim/measure", "sim", trace=trace.name):
-            core._advance(sim.warmup_cycles, sim.total_cycles, cursor)
-        with tracer.wall_span("sim/integrate_energy", "sim"):
-            core._finish(sim.total_cycles)
-        self._record_run_telemetry()
+        if OBS.enabled:
+            self._record_run_telemetry()
         return self._result()
 
     # -- accounting -----------------------------------------------------------------

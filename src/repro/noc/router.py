@@ -91,9 +91,6 @@ class _TransmitEngine:
     def __init__(self) -> None:
         self.busy_until = 0
 
-    def is_free(self, cycle: int) -> bool:
-        return cycle >= self.busy_until
-
 
 class PearlRouter:
     """One PEARL router plus its share of the photonic crossbar."""

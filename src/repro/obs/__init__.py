@@ -124,6 +124,16 @@ def enable(
     return OBS
 
 
+@contextmanager
+def wall_span(name: str, category: str, **attrs: object) -> Iterator[None]:
+    """Time the enclosed phase as a wall-clock span; a no-op when off."""
+    if not OBS.enabled:
+        yield
+        return
+    with OBS.tracer.wall_span(name, category, **attrs):
+        yield
+
+
 def disable() -> None:
     """Turn telemetry off (instruments keep their last state)."""
     OBS.enabled = False
@@ -283,6 +293,7 @@ __all__ = [
     "series_summary",
     "session",
     "wall_phase_rows",
+    "wall_span",
     "trace_paths",
     "write_chrome_trace",
     "write_jsonl",

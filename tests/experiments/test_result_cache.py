@@ -29,6 +29,7 @@ from repro.experiments.cache import (
 )
 from repro.experiments.parallel import (
     ExperimentEngine,
+    JobSpec,
     execute_job,
     pair_spec,
     pearl_job,
@@ -398,3 +399,23 @@ class TestEngineIntegration:
         )
         second.run(specs)
         assert second.cache.hits == 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_job_keeps_finished_siblings(
+        self, tmp_path, tiny_sim_config, jobs
+    ):
+        """A job that raises must not discard the results before it."""
+        pairs = experiment_pairs(quick=True)[:2]
+        good = [
+            pearl_job(tiny_sim_config, pair_spec(pair, 1 + i), seed=1 + i)
+            for i, pair in enumerate(pairs)
+        ]
+        bogus = JobSpec(kind="bogus", config=tiny_sim_config)
+        engine = ExperimentEngine(
+            jobs=jobs, cache=ResultCache(directory=tmp_path)
+        )
+        with pytest.raises(ValueError, match="unknown job kind"):
+            engine.run(good + [bogus])
+        cache = ResultCache(directory=tmp_path)
+        assert all(cache.get(spec) is not None for spec in good)
+        assert cache.hits == len(good)

@@ -101,7 +101,7 @@ def test_golden_run_instrumented(
         actual = run_case(policy, allocator, engine)
         assert OBS.engines == {engine: 1}
         spans = {e.name for e in OBS.tracer.events() if e.wall}
-        assert {"sim/warmup", "sim/measure"} <= spans
+        assert {"sim/warmup", "sim/measure", "sim/integrate_energy"} <= spans
     _assert_matches_snapshot(
         f"{policy}_{allocator}",
         actual,

@@ -193,13 +193,14 @@ class TestNoSilentDowngrade:
         self, toy_model, monkeypatch
     ):
         """The old behaviour downgraded array to a scalar engine under
-        telemetry; prove the scalar instrumented path is unreachable."""
+        telemetry; prove an instrumented array run never takes the
+        reference engine's per-cycle step."""
         config, policy, model, faults = _scenario("reactive", toy_model)
 
-        def boom(self, trace):  # pragma: no cover - must not run
+        def boom(self, cycle, cursor=None):  # pragma: no cover - must not run
             raise AssertionError("array run fell back to the scalar path")
 
-        monkeypatch.setattr(PearlNetwork, "_run_instrumented", boom)
+        monkeypatch.setattr(PearlNetwork, "step", boom)
         result, _, _, _ = _run(config, "array", policy, model, faults)
         assert result["stats"]["local_packets_delivered"] > 0
 
@@ -218,8 +219,6 @@ class TestNoSilentDowngrade:
             network.run(trace, engine="reference")
             engines = dict(obs.OBS.engines)
         assert engines == {"array": 1, "reference": 1}
-        assert network.last_engine_requested == "reference"
-        assert network.last_engine_used == "reference"
 
     def test_requested_equals_used_for_array(self, toy_model):
         config, policy, model, faults = _scenario("reactive", toy_model)
@@ -233,5 +232,4 @@ class TestNoSilentDowngrade:
         network = PearlNetwork(config=config, power_policy=policy, seed=3)
         with obs.session():
             network.run(trace, engine="array")
-        assert network.last_engine_requested == "array"
-        assert network.last_engine_used == "array"
+            assert obs.OBS.engines == {"array": 1}

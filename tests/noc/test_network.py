@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.config import PearlConfig, SimulationConfig
 from repro.ml.ridge import RidgeRegression
 from repro.noc.network import PearlNetwork, ResponderConfig
@@ -254,8 +255,9 @@ class TestEngineSelection:
 
     def test_array_is_the_default(self, tiny_config):
         network = PearlNetwork(tiny_config)
-        network.run(Trace([], name="empty"))
-        assert network.last_engine_used == "array"
+        with obs.session():
+            network.run(Trace([], name="empty"))
+            assert obs.OBS.engines == {"array": 1}
 
     @pytest.mark.parametrize("engine", ["warp", "fast"])
     def test_unknown_engine_rejected(self, engine):
