@@ -1,32 +1,8 @@
-"""Memory-hierarchy substrate: caches, NMOESI coherence, memory."""
+"""Main-memory substrate: the controllers behind the L3 crossbar."""
 
-from .cache import CacheLine, CacheStats, LineState, SetAssociativeCache
-from .coherence import (
-    AccessType,
-    CoherenceAction,
-    CoherenceResult,
-    Directory,
-    DirectoryEntry,
-    NmoesiController,
-)
-from .hierarchy import ChipHierarchy, ClusterHierarchy, SharedL3, TrafficKind
 from .memory import MemoryController, MemoryStats
 
 __all__ = [
-    "AccessType",
-    "CacheLine",
-    "CacheStats",
-    "ChipHierarchy",
-    "ClusterHierarchy",
-    "CoherenceAction",
-    "CoherenceResult",
-    "Directory",
-    "DirectoryEntry",
-    "LineState",
     "MemoryController",
     "MemoryStats",
-    "NmoesiController",
-    "SetAssociativeCache",
-    "SharedL3",
-    "TrafficKind",
 ]

@@ -138,6 +138,12 @@ recomputation).  Runs can be instrumented with the telemetry layer
   explain part of fig9's 8.5 pp excess over the paper's 34% PEARL-Dyn
   gain.  Raising the rate changes CMESH results, so it is left for a
   separate change.
+* **ML vs reactive ordering (fig9)** — the paper's ML RW500 beats
+  CMESH by 20%, below Dyn RW500's 34%.  Here the order is reversed:
+  in quick mode ML RW500 beats CMESH by 43.31% and Dyn RW500 by
+  41.3%.  ML RW500 also matches the 64 WL static throughput (5.072
+  vs 5.043 flits/cycle in fig10), so it pays none of the throughput
+  the paper's ML gives up for its laser savings.
 """
 
 

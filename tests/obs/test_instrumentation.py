@@ -2,9 +2,8 @@
 
 Telemetry must be strictly observational: a run with the session
 enabled produces byte-identical simulation results to one without.
-These tests drive real components (network, coherence controller,
-reservation channel, ML scaler) and check both the emitted metrics and
-that guarantee.
+These tests drive real components (network, reservation channel, ML
+scaler) and check both the emitted metrics and that guarantee.
 """
 
 from __future__ import annotations
@@ -14,12 +13,6 @@ import dataclasses
 import pytest
 
 from repro import obs
-from repro.cache.cache import SetAssociativeCache
-from repro.cache.coherence import (
-    AccessType,
-    Directory,
-    NmoesiController,
-)
 from repro.config import PearlConfig, SimulationConfig
 from repro.core.reservation import Reservation, ReservationChannel
 from repro.noc.network import PearlNetwork, PearlRunResult
@@ -139,24 +132,3 @@ class TestComponentCounters:
             assert (
                 OBS.registry.counter("reservation/broadcasts").value == 1
             )
-
-    def test_coherence_actions_counted(self):
-        def drive():
-            directory = Directory()
-            peers = {}
-            a = NmoesiController(
-                0, SetAssociativeCache(size_bytes=4096, associativity=2), directory, peers
-            )
-            b = NmoesiController(
-                1, SetAssociativeCache(size_bytes=4096, associativity=2), directory, peers
-            )
-            a.access(0x100, AccessType.LOAD)
-            a.access(0x100, AccessType.LOAD)
-            b.access(0x100, AccessType.STORE)
-
-        with obs.session():
-            drive()
-            snap = OBS.registry.snapshot()
-        assert snap["coherence/hit"]["value"] >= 1
-        assert snap["coherence/fetch_from_memory"]["value"] >= 1
-        assert any(name.startswith("coherence/") for name in snap)
