@@ -3,19 +3,20 @@
 
 Runs a small workload matrix (idle-heavy, mixed, saturated) under the
 reference cycle-by-cycle engine and the struct-of-arrays array engine,
-verifies both are bit-identical, and writes ``BENCH_<label>.json`` with
-per-engine wall time, simulated cycles/second and the array engine's
-speedup over the reference.  On the mixed and saturated workloads the
-electrical CMESH baseline runs the same trace in the same process;
-``cmesh_s`` is its wall time and ``cmesh_over_reference`` its ratio to
-the reference PEARL engine.
+verifies both are bit-identical, and writes ``BENCH_<label>.json``
+(into ``--out``, default ``.benchmarks/``) with per-engine wall time,
+simulated cycles/second and the array engine's speedup over the
+reference.  On the mixed and saturated workloads the electrical CMESH
+baseline runs the same trace in the same process; ``cmesh_s`` is its
+wall time and ``cmesh_over_reference`` its ratio to the reference
+PEARL engine.
 
 Usage::
 
     PYTHONPATH=src python scripts/bench.py --label $(git rev-parse --short HEAD)
     PYTHONPATH=src python scripts/bench.py --quick --check   # CI gate
     PYTHONPATH=src python scripts/bench.py --sweep --check \
-        --label sweep-service                # sweep-service resume gate
+        --label sweep-service --out .        # sweep-service resume gate
 
 ``--sweep`` benchmarks the sharded sweep service instead of the cycle
 engines: one cold sweep (fresh manifest + empty cache) against a
@@ -367,7 +368,11 @@ def main(argv=None) -> int:
         "--label", default="local", help="suffix of BENCH_<label>.json"
     )
     parser.add_argument(
-        "--out", default=".", metavar="DIR", help="output directory"
+        "--out",
+        default=".benchmarks",
+        metavar="DIR",
+        help="output directory, created if missing (default .benchmarks, "
+        "which git ignores; pass --out . to write a trajectory record)",
     )
     parser.add_argument(
         "--repeats", type=int, default=3, help="timing repetitions (best-of)"
@@ -420,7 +425,9 @@ def main(argv=None) -> int:
         "repeats": args.repeats,
         "workloads": entries,
     }
-    out_path = Path(args.out) / f"BENCH_{args.label}.json"
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    out_path = out_dir / f"BENCH_{args.label}.json"
     out_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out_path}")
 

@@ -34,8 +34,9 @@ from .config import (
     SimulationConfig,
 )
 from .noc.cmesh import CMeshNetwork
-from .noc.network import PearlNetwork, PearlRunResult, ResponderConfig
+from .noc.network import PearlNetwork, PearlRunResult
 from .noc.packet import CacheLevel, CoreType, Packet, PacketClass
+from .noc.responder import ResponderConfig
 from .noc.router import PowerPolicyKind
 from .noc.stats import NetworkStats
 

@@ -4,12 +4,7 @@ from .adaptive import AdaptiveReactiveScaler
 from .dba import DynamicBandwidthAllocator, FCFSAllocator, OccupancySample
 from .ml_scaling import MLPowerScaler, StateSelector
 from .power_scaling import LaserBank, ReactivePowerScaler, StaticPowerPolicy
-from .reservation import (
-    Reservation,
-    ReservationChannel,
-    reservation_packet_bits,
-    reservation_wavelengths,
-)
+from .reservation import reservation_packet_bits, reservation_wavelengths
 from .wavelength import (
     BandwidthAllocation,
     WavelengthLadder,
@@ -27,8 +22,6 @@ __all__ = [
     "MLPowerScaler",
     "OccupancySample",
     "ReactivePowerScaler",
-    "Reservation",
-    "ReservationChannel",
     "StateSelector",
     "StaticPowerPolicy",
     "WavelengthLadder",

@@ -176,16 +176,19 @@ class MLPowerScaler:
         return (cycle - self.offset) % self._window == 0
 
     def predict_window_batch(self, matrix: np.ndarray) -> np.ndarray:
-        """One batched inference for several same-cycle feature rows.
+        """One batched inference for the feature rows closing on a cycle.
 
         ``matrix`` is ``(k, NUM_FEATURES)``; the float path runs a
         single ``matrix @ weights`` matmul and the quantized path one
         row-parallel saturating-MAC sweep.  This is the *defining*
-        inference semantics for routers whose windows close on the same
-        cycle: a ``(k, n)`` GEMV is not guaranteed bitwise equal to k
-        separate ``(1, n)`` calls on every BLAS, so every engine must
-        group identically and feed groups through this one kernel
-        (``decide(..., precomputed=row)`` then consumes the rows).
+        inference semantics of every ML window close, a lone closer
+        being a batch of one: a ``(k, n)`` GEMV is not guaranteed
+        bitwise equal to k separate ``(1, n)`` calls on every BLAS, so
+        every engine must group identically and feed groups through
+        this one kernel (``decide(..., precomputed=row)`` then consumes
+        the rows).  A one-row batch is bitwise :meth:`decide`'s own
+        prediction, since both predictors reshape a single row to
+        ``(1, n)``.
         """
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[1] != NUM_FEATURES:
@@ -209,9 +212,9 @@ class MLPowerScaler:
         injector's ``max_usable_state``), making the scaler fault-aware
         rather than clamped after the fact.
 
-        ``precomputed`` supplies this router's row of a batched
-        :meth:`predict_window_batch` inference (grouped same-cycle
-        closers); everything downstream of the prediction is unchanged.
+        ``precomputed`` supplies this router's row of the batched
+        :meth:`predict_window_batch` inference every network window
+        close runs; without it the scaler predicts the row itself.
         """
         features = np.asarray(features, dtype=float).ravel()
         if features.shape[0] != NUM_FEATURES:

@@ -37,7 +37,6 @@ import hashlib
 import io
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
@@ -98,23 +97,6 @@ def default_store() -> CacheStore:
     if backend:
         return open_store(backend)
     return LocalDirStore(default_cache_dir())
-
-
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write via a temp file + rename so readers never see partials."""
-    fd, tmp_name = tempfile.mkstemp(
-        dir=str(path.parent), prefix=path.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 class ResultCache:

@@ -10,9 +10,10 @@ from .thermal import (
     ThermalTrimmingModel,
 )
 from .topology import ChipFloorplan, Placement, per_router_link_budget
-from .network import PearlNetwork, PearlRunResult, ResponderConfig
+from .network import PearlNetwork, PearlRunResult
 from .packet import CacheLevel, CoreType, Flit, Packet, PacketClass, make_request, make_response
 from .photonic import LinkBudget, PhotonicLinkModel, dbm_to_mw, mw_to_dbm
+from .responder import ResponderConfig
 from .router import PearlRouter, PowerPolicyKind
 from .stats import NetworkStats
 

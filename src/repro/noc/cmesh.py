@@ -27,8 +27,8 @@ from ..config import (
     SimulationConfig,
 )
 from .buffer import VirtualChannelBuffer
-from .network import ResponderConfig
-from .packet import CacheLevel, CoreType, Flit, Packet, PacketClass
+from .packet import Flit, Packet
+from .responder import ResponderConfig, build_response
 from .stats import NetworkStats
 from ..traffic.trace import Trace, TraceCursor
 
@@ -160,51 +160,22 @@ class CMeshNetwork:
         self._links_busy_until = 0
         self._local_deliveries: List[Tuple[int, int, Packet]] = []
 
-    # -- responder (mirrors PearlNetwork) ----------------------------------------
+    # -- responder ------------------------------------------------------------------
 
     def _schedule_response(self, request: Packet, cycle: int) -> None:
-        if request.destination == self.l3_alias:
-            miss_rate = (
-                self.responder.cpu_l3_miss_rate
-                if request.core_type is CoreType.CPU
-                else self.responder.gpu_l3_miss_rate
-            )
-            ready = cycle + self.responder.l3_hit_latency
-            if self._rng.random() < miss_rate:
-                line = request.source * 131 + request.created_cycle
-                ready = self.memory.request(line * 64, ready)
-            level = CacheLevel.L3
-            source = self.l3_alias
-        elif request.is_local:
-            ready = cycle + self.responder.local_l2_latency
-            level = (
-                CacheLevel.CPU_L2_UP
-                if request.core_type is CoreType.CPU
-                else CacheLevel.GPU_L2_UP
-            )
-            source = request.destination
-        else:
-            ready = cycle + self.responder.peer_latency
-            level = (
-                CacheLevel.CPU_L2_UP
-                if request.core_type is CoreType.CPU
-                else CacheLevel.GPU_L2_UP
-            )
-            source = request.destination
-        response = Packet(
-            source=source,
-            destination=request.source,
-            core_type=request.core_type,
-            packet_class=PacketClass.RESPONSE,
-            cache_level=level,
-            size_flits=(
-                1 if request.is_local else self.responder.response_flits
-            ),
-            created_cycle=ready,
+        """Queue the closed-loop response to a delivered request."""
+        ready, response = build_response(
+            request,
+            cycle,
+            self.responder,
+            self._rng,
+            self.memory,
+            self.l3_alias,
+            self.memory.line_bytes,
         )
         self._sequence += 1
         heapq.heappush(
-            self._responses, (ready, self._sequence, source, response)
+            self._responses, (ready, self._sequence, response.source, response)
         )
 
     def _on_delivered(self, packet: Packet, cycle: int) -> None:

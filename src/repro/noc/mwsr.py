@@ -23,9 +23,8 @@ from ..cache.memory import MemoryController
 from ..config import PearlConfig
 from ..core.wavelength import WavelengthLadder
 from .buffer import PartitionedBuffer
-from .network import ResponderConfig
 from .packet import CoreType, Packet
-from .responder import build_response
+from .responder import ResponderConfig, build_response
 from .stats import NetworkStats
 from ..traffic.trace import Trace, TraceCursor
 

@@ -33,33 +33,12 @@ from ..ml.lifecycle.drift import DriftConfig, DriftMonitor
 from ..ml.lifecycle.quantized import QuantizedRidge
 from ..ml.ridge import RidgeRegression
 from .array_core import ArrayCore
-from .packet import CacheLevel, CoreType, Packet, PacketClass
+from .packet import Packet
 from .photonic import PhotonicLinkModel
+from .responder import ResponderConfig, build_response
 from .router import PearlRouter, PowerPolicyKind, Transmission
 from .stats import NetworkStats
 from ..traffic.trace import Trace, TraceCursor
-
-#: Flits in a data-bearing response (64-byte line + header).
-RESPONSE_FLITS = 5
-
-
-@dataclass(frozen=True)
-class ResponderConfig:
-    """Closed-loop response generation parameters."""
-
-    l3_hit_latency: int = 8
-    local_l2_latency: int = 4
-    peer_latency: int = 6
-    cpu_l3_miss_rate: float = 0.25
-    gpu_l3_miss_rate: float = 0.30
-    response_flits: int = RESPONSE_FLITS
-
-    def __post_init__(self) -> None:
-        for rate in (self.cpu_l3_miss_rate, self.gpu_l3_miss_rate):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError("miss rates must be in [0, 1]")
-        if min(self.l3_hit_latency, self.local_l2_latency, self.peer_latency) < 0:
-            raise ValueError("latencies cannot be negative")
 
 
 @dataclass
@@ -306,46 +285,22 @@ class PearlNetwork:
     # -- responder ---------------------------------------------------------------
 
     def _schedule_response(self, request: Packet, cycle: int) -> None:
-        """Generate the closed-loop response to a delivered request."""
+        """Queue the closed-loop response to a delivered request."""
         arch = self.config.architecture
-        responder = self.responder
-        requester = request.source
-        source = request.destination
-        local = requester == source
-        if source == arch.l3_router_id:
-            miss_rate = (
-                responder.cpu_l3_miss_rate
-                if request.core_type is CoreType.CPU
-                else responder.gpu_l3_miss_rate
-            )
-            ready = cycle + responder.l3_hit_latency
-            if self._rng.random() < miss_rate:
-                line = requester * 131 + request.created_cycle
-                ready = self.memory.request(
-                    line * arch.cache_line_bytes, ready
-                )
-            level = CacheLevel.L3
-        else:
-            ready = cycle + (
-                responder.local_l2_latency if local else responder.peer_latency
-            )
-            level = (
-                CacheLevel.CPU_L2_UP
-                if request.core_type is CoreType.CPU
-                else CacheLevel.GPU_L2_UP
-            )
-        response = Packet(
-            source,
-            requester,
-            request.core_type,
-            PacketClass.RESPONSE,
-            level,
-            1 if local else responder.response_flits,
-            ready,
+        ready, response = build_response(
+            request,
+            cycle,
+            self.responder,
+            self._rng,
+            self.memory,
+            arch.l3_router_id,
+            arch.cache_line_bytes,
         )
         sequence = self._sequence + 1
         self._sequence = sequence
-        heapq.heappush(self._responses, (ready, sequence, source, response))
+        heapq.heappush(
+            self._responses, (ready, sequence, response.source, response)
+        )
 
     def _on_delivered(self, packet: Packet, cycle: int) -> None:
         self.stats.on_delivered(packet, cycle)
@@ -460,22 +415,20 @@ class PearlNetwork:
     def _close_windows(self, closers: List[PearlRouter], cycle: int) -> None:
         """Close every router window that falls on ``cycle``.
 
-        Non-ML policies (and a lone ML closer) take the unchanged
-        scalar path.  When several ML routers close on the same cycle
-        (an unstaggered configuration), their feature snapshots are
-        stacked into one ``(k, n_features)`` matrix and predicted with
-        a *single* matmul (or one batched saturating-MAC sweep on the
-        quantized path) — the defining semantics every engine shares,
-        so batch-sensitive BLAS kernels can never split the engines.
+        Non-ML policies decide per router in ``close_window``.  Every
+        ML close goes through one grouped path: the feature snapshots
+        of all routers closing on this cycle (one row for a lone
+        closer, k rows in an unstaggered configuration) are stacked
+        into a ``(k, n_features)`` matrix and predicted with a *single*
+        matmul (or one batched saturating-MAC sweep on the quantized
+        path) — the defining semantics every engine shares, so
+        batch-sensitive BLAS kernels can never split the engines.
         Per-router ordering (snapshot, dataset hook, label recording,
-        then decision) is exactly that of sequential ``close_window``
-        calls.
+        then decision) is exactly that of sequential closes.
         """
-        if len(closers) == 1 or self.power_policy is not PowerPolicyKind.ML:
+        if self.power_policy is not PowerPolicyKind.ML:
             for router in closers:
                 router.close_window(cycle)
-            if self._retrain_enabled:
-                self._maybe_retrain(cycle)
             return
         pre = [router.begin_window_close(cycle) for router in closers]
         matrix = np.stack([snapshot for _, snapshot, _ in pre])
@@ -490,7 +443,7 @@ class PearlNetwork:
             )
         if self._retrain_enabled:
             # Deferred until after *all* same-cycle closers decided, so
-            # scalar and batched close groups see the same model.
+            # every router in the group decides with the same model.
             self._maybe_retrain(cycle)
 
     def _maybe_retrain(self, cycle: int) -> None:

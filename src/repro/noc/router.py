@@ -398,7 +398,12 @@ class PearlRouter:
         return (cycle - self._boundary_offset) % self._boundary_window == 0
 
     def close_window(self, cycle: int) -> None:
-        """Reservation-window boundary: pick the next wavelength state."""
+        """Reservation-window boundary: pick the next wavelength state.
+
+        ML routers close through the network's grouped inference
+        (:meth:`begin_window_close` + :meth:`finish_window_close`), so
+        this decides every other policy.
+        """
         label, snapshot, state_before = self.begin_window_close(cycle)
 
         if self.reactive is not None:  # REACTIVE / ADAPTIVE / PROTEUS
@@ -418,18 +423,6 @@ class PearlRouter:
             )
             self._request_laser_state(state, cycle)
             self.dba.pin_split(split)
-        elif self.policy_kind is PowerPolicyKind.ML:
-            assert self.ml_scaler is not None
-            # Under faults the scaler is degradation-aware: it only
-            # considers states the surviving hardware can sustain.
-            max_state = (
-                self._fault_injector.max_usable_state
-                if self._fault_injector is not None
-                else None
-            )
-            state = self.ml_scaler.decide(snapshot, max_state=max_state)
-            self._request_laser_state(state, cycle)
-            self.ml_energy_j += self._inference_energy_j
         elif self.policy_kind is PowerPolicyKind.RANDOM:
             states = self.ladder.states_without_lowest()
             state = int(self._rng.choice(states))
@@ -442,13 +435,13 @@ class PearlRouter:
     def begin_window_close(self, cycle: int) -> Tuple[float, np.ndarray, int]:
         """First half of a window close: freeze the feature window.
 
-        Returns ``(label, snapshot, state_before)``.  Splitting the
-        close lets the network batch the ML inference of every router
-        closing on the *same* cycle into one matmul (see
-        :meth:`~repro.noc.network.PearlNetwork._close_windows`) without
+        Returns ``(label, snapshot, state_before)``.  Every policy's
+        close starts here.  Splitting the ML close lets the network run
+        one batched inference over every router closing on the *same*
+        cycle, a lone closer included (see
+        :meth:`~repro.noc.network.PearlNetwork._close_windows`), without
         changing any per-router ordering: the label, snapshot, dataset
-        hook and label bookkeeping all happen here exactly as they do
-        at the top of :meth:`close_window`.
+        hook and label bookkeeping all happen here, before any decision.
         """
         label = float(self.features.network_injected_this_window)
         snapshot = self.features.snapshot(self.laser.state)
@@ -467,15 +460,16 @@ class PearlRouter:
         state_before: int,
         predicted: float,
     ) -> None:
-        """Second half of a *grouped ML* window close.
+        """Second half of an ML window close: act on the prediction.
 
         ``predicted`` is this router's row of the batched inference the
-        network ran over all same-cycle closers; everything after the
-        prediction (drift observation, fallback, Eq. 7 selection, the
-        state request, energy accounting, telemetry) is the unchanged
-        scalar path.
+        network ran over all same-cycle closers.  The drift
+        observation, fallback, Eq. 7 selection, state request, energy
+        accounting and telemetry follow it.
         """
         assert self.ml_scaler is not None
+        # Under faults the scaler is degradation-aware: it only
+        # considers states the surviving hardware can sustain.
         max_state = (
             self._fault_injector.max_usable_state
             if self._fault_injector is not None
@@ -546,8 +540,8 @@ class PearlRouter:
         if series.enabled:
             scaler = self.ml_scaler
             if scaler is not None and scaler.predictions:
-                # decide() for this boundary already ran (close_window /
-                # finish_window_close order), so predictions[-1] is the
+                # decide() for this boundary already ran (in
+                # finish_window_close), so predictions[-1] is the
                 # forecast paired with the window that just opened.
                 predicted = scaler.predictions[-1]
                 drift = (

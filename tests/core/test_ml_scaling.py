@@ -2,11 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.config import MLConfig, PhotonicConfig
 from repro.core.ml_scaling import MLPowerScaler, StateSelector
 from repro.ml.features import NUM_FEATURES
+from repro.ml.lifecycle.quantized import QuantizedRidge
 from repro.ml.ridge import RidgeRegression
+
+#: Table III-like feature rows: counts and occupancies, zeros included.
+feature_rows = arrays(
+    np.float64,
+    NUM_FEATURES,
+    elements=st.floats(
+        min_value=0.0, max_value=2_000.0, allow_nan=False, allow_infinity=False
+    ),
+)
 
 
 def _selector(window=500, allow_8wl=True, headroom=1.0, multiplier=1.0):
@@ -133,3 +146,36 @@ class TestMLPowerScaler:
         scaler = self._scaler(router_id=2)
         assert scaler.window_boundary(20)
         assert not scaler.window_boundary(0)
+
+
+class TestBatchOfOneInference:
+    """A lone window closer is a batch of one.
+
+    The network sends every ML window close through
+    ``predict_window_batch``; that is bit-identical to per-router
+    scalar inference only because a one-row batch predicts exactly
+    what ``predictor.predict`` does on the row itself.
+    """
+
+    # Fitted on the feature range the rows are drawn from, so the
+    # q4.12 path neither saturates nor collapses to one output.
+    _rows = np.random.default_rng(1).random((200, NUM_FEATURES)) * 2_000.0
+    _model = RidgeRegression(lam=0.01).fit(
+        _rows, _rows[:, 0] / 1_000.0 + _rows[:, 1] / 2_000.0
+    )
+    _quantized = QuantizedRidge.from_spec(_model, "q4.12")
+
+    @pytest.mark.parametrize("quantized", [False, True], ids=["float", "q4.12"])
+    @given(x=feature_rows)
+    @settings(max_examples=200, deadline=None)
+    def test_one_row_batch_matches_scalar_predict(self, quantized, x):
+        predictor = self._quantized if quantized else self._model
+        scaler = MLPowerScaler(
+            model=self._model,
+            selector=_selector(),
+            config=MLConfig(reservation_window=500),
+            quantized=self._quantized if quantized else None,
+        )
+        batched = scaler.predict_window_batch(x[None])
+        assert batched.shape == (1,)
+        assert float(batched[0]).hex() == float(predictor.predict(x)).hex()

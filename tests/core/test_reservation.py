@@ -4,12 +4,7 @@ import math
 
 import pytest
 
-from repro.core.reservation import (
-    Reservation,
-    ReservationChannel,
-    reservation_packet_bits,
-    reservation_wavelengths,
-)
+from repro.core.reservation import reservation_packet_bits, reservation_wavelengths
 
 
 class TestReservationPacketBits:
@@ -45,47 +40,3 @@ class TestReservationWavelengths:
     def test_rejects_nonpositive_bits(self):
         with pytest.raises(ValueError):
             reservation_wavelengths(0)
-
-
-class TestReservationChannel:
-    def test_visible_after_latency(self):
-        channel = ReservationChannel(latency_cycles=2)
-        res = Reservation(0, 5, 0.75, 0.25, issue_cycle=10)
-        channel.broadcast(res)
-        assert channel.ready(0, 11) is None
-        assert channel.ready(0, 12) is res
-
-    def test_zero_latency_immediate(self):
-        channel = ReservationChannel(latency_cycles=0)
-        res = Reservation(0, 5, 0.5, 0.5, issue_cycle=0)
-        channel.broadcast(res)
-        assert channel.ready(0, 0) is res
-
-    def test_consume_removes(self):
-        channel = ReservationChannel()
-        channel.broadcast(Reservation(0, 5, 0.5, 0.5, issue_cycle=0))
-        channel.consume(0)
-        assert channel.ready(0, 100) is None
-
-    def test_sources_independent(self):
-        channel = ReservationChannel()
-        channel.broadcast(Reservation(0, 5, 0.5, 0.5, issue_cycle=0))
-        channel.broadcast(Reservation(1, 6, 0.5, 0.5, issue_cycle=0))
-        assert channel.ready(0, 5).destination == 5
-        assert channel.ready(1, 5).destination == 6
-
-    def test_broadcast_count(self):
-        channel = ReservationChannel()
-        for i in range(3):
-            channel.broadcast(Reservation(i, i + 1, 0.5, 0.5, issue_cycle=0))
-        assert channel.broadcast_count == 3
-
-    def test_reservation_validation(self):
-        with pytest.raises(ValueError):
-            Reservation(3, 3, 0.5, 0.5, issue_cycle=0)
-        with pytest.raises(ValueError):
-            Reservation(0, 1, 0.5, 0.5, issue_cycle=-1)
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError):
-            ReservationChannel(latency_cycles=-1)

@@ -6,8 +6,9 @@ import pytest
 from repro import obs
 from repro.config import PearlConfig, SimulationConfig
 from repro.ml.ridge import RidgeRegression
-from repro.noc.network import PearlNetwork, ResponderConfig
+from repro.noc.network import PearlNetwork
 from repro.noc.packet import CacheLevel, CoreType, PacketClass
+from repro.noc.responder import ResponderConfig
 from repro.noc.router import PowerPolicyKind
 from repro.traffic.synthetic import uniform_random_trace
 from repro.traffic.trace import InjectionEvent, Trace

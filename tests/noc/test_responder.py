@@ -1,12 +1,11 @@
-"""Tests for repro.noc.responder — shared closed-loop response policy."""
+"""Tests for repro.noc.responder — the one closed-loop response policy."""
 
 import numpy as np
 import pytest
 
 from repro.cache.memory import MemoryController
-from repro.noc.network import ResponderConfig
 from repro.noc.packet import CacheLevel, CoreType, PacketClass, make_request
-from repro.noc.responder import build_response
+from repro.noc.responder import ResponderConfig, build_response
 
 L3 = 16
 

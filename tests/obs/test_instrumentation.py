@@ -2,8 +2,8 @@
 
 Telemetry must be strictly observational: a run with the session
 enabled produces byte-identical simulation results to one without.
-These tests drive real components (network, reservation channel, ML
-scaler) and check both the emitted metrics and that guarantee.
+These tests drive a real network run and check both the emitted
+metrics and that guarantee.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import pytest
 
 from repro import obs
 from repro.config import PearlConfig, SimulationConfig
-from repro.core.reservation import Reservation, ReservationChannel
 from repro.noc.network import PearlNetwork, PearlRunResult
 from repro.noc.router import PowerPolicyKind
 from repro.obs import OBS
@@ -114,21 +113,3 @@ class TestNetworkInstrumentation:
             registry = OBS.registry
         _tiny_run()
         assert registry.names() == []
-
-
-class TestComponentCounters:
-    def test_reservation_broadcasts_counted(self):
-        channel = ReservationChannel()
-        with obs.session():
-            channel.broadcast(
-                Reservation(
-                    source=0,
-                    destination=1,
-                    cpu_fraction=0.5,
-                    gpu_fraction=0.5,
-                    issue_cycle=0,
-                )
-            )
-            assert (
-                OBS.registry.counter("reservation/broadcasts").value == 1
-            )
