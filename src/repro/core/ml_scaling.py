@@ -186,9 +186,8 @@ class MLPowerScaler:
         bitwise equal to k separate ``(1, n)`` calls on every BLAS, so
         every engine must group identically and feed groups through
         this one kernel (``decide(..., precomputed=row)`` then consumes
-        the rows).  A one-row batch is bitwise :meth:`decide`'s own
-        prediction, since both predictors reshape a single row to
-        ``(1, n)``.
+        the rows; ``decide`` without ``precomputed`` runs a batch of
+        one here too).
         """
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[1] != NUM_FEATURES:
@@ -214,7 +213,8 @@ class MLPowerScaler:
 
         ``precomputed`` supplies this router's row of the batched
         :meth:`predict_window_batch` inference every network window
-        close runs; without it the scaler predicts the row itself.
+        close runs; without it the row is predicted as a batch of one
+        through the same kernel.
         """
         features = np.asarray(features, dtype=float).ravel()
         if features.shape[0] != NUM_FEATURES:
@@ -224,10 +224,7 @@ class MLPowerScaler:
         if precomputed is not None:
             predicted = float(precomputed)
         else:
-            predictor = (
-                self.quantized if self.quantized is not None else self.model
-            )
-            predicted = float(predictor.predict(features))
+            predicted = float(self.predict_window_batch(features[None])[0])
         self._observe_drift(features, predicted)
         if (
             self.drift_action == "fallback"

@@ -171,7 +171,6 @@ class CMeshNetwork:
             self._rng,
             self.memory,
             self.l3_alias,
-            self.memory.line_bytes,
         )
         self._sequence += 1
         heapq.heappush(

@@ -150,7 +150,6 @@ class MwsrNetwork:
                 self._rng,
                 self.memory,
                 self.config.architecture.l3_router_id,
-                self.config.architecture.cache_line_bytes,
             )
             self._sequence += 1
             heapq.heappush(

@@ -294,7 +294,6 @@ class PearlNetwork:
             self._rng,
             self.memory,
             arch.l3_router_id,
-            arch.cache_line_bytes,
         )
         sequence = self._sequence + 1
         self._sequence = sequence

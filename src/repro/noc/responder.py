@@ -48,7 +48,6 @@ def build_response(
     rng: np.random.Generator,
     memory: MemoryController,
     l3_router_id: int,
-    line_bytes: int = 64,
 ) -> Tuple[int, Packet]:
     """The (ready_cycle, response packet) for a delivered request.
 
@@ -64,7 +63,7 @@ def build_response(
         miss_rate = config.cpu_l3_miss_rate if cpu else config.gpu_l3_miss_rate
         if rng.random() < miss_rate:
             line = requester * 131 + request.created_cycle
-            ready = memory.request(line * line_bytes, ready)
+            ready = memory.request(line * memory.line_bytes, ready)
         level = CacheLevel.L3
     else:
         ready = cycle + (config.local_l2_latency if local else config.peer_latency)

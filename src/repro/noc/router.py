@@ -402,8 +402,13 @@ class PearlRouter:
 
         ML routers close through the network's grouped inference
         (:meth:`begin_window_close` + :meth:`finish_window_close`), so
-        this decides every other policy.
+        this decides every other policy and refuses an ML router rather
+        than close its window without a decision.
         """
+        if self.policy_kind is PowerPolicyKind.ML:
+            raise RuntimeError(
+                "ML windows close through PearlNetwork._close_windows"
+            )
         label, snapshot, state_before = self.begin_window_close(cycle)
 
         if self.reactive is not None:  # REACTIVE / ADAPTIVE / PROTEUS

@@ -1,8 +1,12 @@
 """Tests for repro.noc.router — the PEARL router microarchitecture."""
 
+import numpy as np
 import pytest
 
 from repro.config import PearlConfig, PowerScalingConfig, SimulationConfig
+from repro.core.ml_scaling import MLPowerScaler, StateSelector
+from repro.ml.features import NUM_FEATURES
+from repro.ml.ridge import RidgeRegression
 from repro.noc.packet import CacheLevel, CoreType, make_request, make_response
 from repro.noc.router import (
     LOCAL_CROSSBAR_CYCLES,
@@ -207,6 +211,30 @@ class TestWindowing:
     def test_ml_policy_requires_model(self):
         with pytest.raises(ValueError):
             _router(policy=PowerPolicyKind.ML)
+
+    def test_ml_router_refuses_the_single_router_close(self):
+        """ML decides only through the network's grouped close."""
+        config = PearlConfig(
+            power_scaling=PowerScalingConfig(reservation_window=50)
+        )
+        rng = np.random.default_rng(0)
+        model = RidgeRegression(lam=1.0).fit(
+            rng.normal(size=(64, NUM_FEATURES)), rng.normal(size=64)
+        )
+        scaler = MLPowerScaler(
+            model=model,
+            selector=StateSelector(config.photonic, reservation_window=50),
+            config=config.ml,
+        )
+        router = PearlRouter(
+            router_id=0,
+            config=config,
+            policy_kind=PowerPolicyKind.ML,
+            ml_scaler=scaler,
+        )
+        with pytest.raises(RuntimeError, match="_close_windows"):
+            router.tick_control(0)
+        assert scaler.decisions == []
 
     def test_reset_power_stats(self):
         router = _router()
